@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <exception>
 #include <memory>
 #include <string>
 
 #include "common/thread_annotations.h"
-#include "exec/task_group.h"
 #include "governor/memory_budget.h"
 #include "obs/trace.h"
 
@@ -27,17 +27,24 @@ MorselPlan PlanMorsels(size_t n, size_t grain_hint) {
 
 namespace {
 
-/// Shared result slots for one parallel region. The lowest failing
-/// morsel index wins so the reported error matches what serial execution
-/// would have hit first.
+/// Shared state of one parallel region, owned jointly by the caller and
+/// every runner task: a runner may start after the caller returned (it
+/// sat in a queue behind other work), and then it only touches this
+/// state. The lowest failing morsel index wins so the reported error
+/// matches what serial execution would have hit first.
 struct RegionState {
+  explicit RegionState(size_t morsels) : count(morsels) {}
+
+  const size_t count;
+  std::atomic<size_t> cursor{0};
+  std::atomic<size_t> executed{0};
   Mutex mu;
+  std::condition_variable done_cv;
+  size_t finished TELEIOS_GUARDED_BY(mu) = 0;  // claimed morsels settled
   size_t error_morsel TELEIOS_GUARDED_BY(mu) = SIZE_MAX;
   Status error TELEIOS_GUARDED_BY(mu);
   size_t exception_morsel TELEIOS_GUARDED_BY(mu) = SIZE_MAX;
   std::exception_ptr exception TELEIOS_GUARDED_BY(mu);
-  std::atomic<size_t> cursor{0};
-  std::atomic<size_t> executed{0};
 
   void RecordError(size_t morsel, Status status) {
     MutexLock lock(mu);
@@ -53,6 +60,22 @@ struct RegionState {
       exception_morsel = morsel;
       exception = e;
     }
+  }
+
+  /// A claimed morsel ran or was skipped for cancellation.
+  void Settle() {
+    MutexLock lock(mu);
+    ++finished;
+    done_cv.notify_all();
+  }
+
+  /// Stops further claims and waits until every claimed morsel settled.
+  /// Runners still queued find the cursor exhausted and return at once,
+  /// so the caller never waits behind unrelated work in the pool.
+  void Close() {
+    size_t claimed = std::min(cursor.exchange(count), count);
+    MutexLock lock(mu);
+    while (finished < claimed) done_cv.wait(lock.native());
   }
 };
 
@@ -96,45 +119,49 @@ Status ParallelFor(size_t n, const ParallelOptions& opts,
     return Status::OK();
   }
 
-  RegionState state;
+  auto state = std::make_shared<RegionState>(plan.count);
   // Workers charge the caller's budget, not the process root: a morsel
   // body that reserves memory on a pool thread lands on the same
   // per-query budget as the thread that opened the region.
   governor::MemoryBudget* region_budget = governor::CurrentBudget();
-  auto runner = [&] {
+  // Everything but `state` is owned by the caller, which waits only for
+  // claimed morsels: a runner touches it only after claiming one.
+  auto runner = [state, &body, plan, n, cancel, region_budget] {
+    size_t m = state->cursor.fetch_add(1, std::memory_order_relaxed);
+    if (m >= plan.count) return;
     governor::ScopedBudget budget_scope(region_budget);
     // Nested regions opened from a morsel body (they run inline on the
     // worker) must see the same token as the thread that opened this
     // region.
     ScopedCancel cancel_scope(cancel);
-    for (;;) {
-      if (cancel != nullptr && cancel->Expired()) return;
-      size_t m = state.cursor.fetch_add(1, std::memory_order_relaxed);
-      if (m >= plan.count) return;
+    for (; m < plan.count;
+         m = state->cursor.fetch_add(1, std::memory_order_relaxed)) {
+      if (cancel != nullptr && cancel->Expired()) {
+        state->Settle();
+        return;
+      }
       try {
         Status s = body(m, plan.Begin(m), plan.End(m, n));
-        if (!s.ok()) state.RecordError(m, std::move(s));
+        if (!s.ok()) state->RecordError(m, std::move(s));
       } catch (...) {
-        state.RecordException(m, std::current_exception());
+        state->RecordException(m, std::current_exception());
       }
-      state.executed.fetch_add(1, std::memory_order_relaxed);
+      state->executed.fetch_add(1, std::memory_order_relaxed);
+      state->Settle();
     }
   };
 
-  {
-    TaskGroup group(pool);
-    for (size_t t = 1; t < threads; ++t) group.Run(runner);
-    runner();
-    group.Wait();  // runner never throws; body exceptions are captured
-  }
+  for (size_t t = 1; t < threads; ++t) pool->Submit(runner);
+  runner();
+  state->Close();
 
-  MutexLock lock(state.mu);
-  if (state.exception &&
-      state.exception_morsel <= state.error_morsel) {
-    std::rethrow_exception(state.exception);
+  MutexLock lock(state->mu);
+  if (state->exception &&
+      state->exception_morsel <= state->error_morsel) {
+    std::rethrow_exception(state->exception);
   }
-  if (state.error_morsel != SIZE_MAX) return state.error;
-  if (state.executed.load(std::memory_order_relaxed) < plan.count) {
+  if (state->error_morsel != SIZE_MAX) return state->error;
+  if (state->executed.load(std::memory_order_relaxed) < plan.count) {
     // Cancellation stopped morsels from starting.
     if (cancel != nullptr) {
       Status s = cancel->Check();

@@ -57,7 +57,10 @@ using MorselBody =
 /// shared cursor by up to `parallelism` threads (the caller included);
 /// with one thread, a single morsel, or when already on a pool worker
 /// (no nested fan-out) the morsels run inline in index order — the
-/// serial behaviour.
+/// serial behaviour. Completion follows the morsels, not the runner
+/// tasks: the caller claims morsels too and returns once every claimed
+/// morsel finished; a runner task still queued behind other work then
+/// finds none left and never calls `body`.
 ///
 /// Error contract: every morsel runs even if one fails (no early abort),
 /// and the error of the lowest-index failing morsel is returned — the

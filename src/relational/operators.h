@@ -41,10 +41,13 @@ struct ProjectItem {
   std::string alias;
 };
 
-/// Computes one output column per item. Output column types are inferred
-/// from the first non-null computed value (defaulting to DOUBLE).
-Result<storage::Table> ProjectCompute(const storage::Table& table,
-                                      const std::vector<ProjectItem>& items);
+/// Computes one output column per item over the rows listed in `sel`
+/// (every row when null). A bare column reference is Taken typed and
+/// keeps its column type; any other expression is evaluated per row, its
+/// type inferred from the first non-null value (defaulting to DOUBLE).
+Result<storage::Table> ProjectCompute(
+    const storage::Table& table, const std::vector<ProjectItem>& items,
+    const storage::SelectionVector* sel = nullptr);
 
 enum class JoinType { kInner, kLeftOuter };
 
@@ -59,15 +62,24 @@ Result<storage::Table> HashJoin(const storage::Table& left,
 /// One aggregate to compute in GroupAggregate.
 struct AggregateItem {
   std::string function;  // count/sum/avg/min/max (lower case)
-  ExprPtr argument;      // nullptr for count(*)
+  ExprPtr argument;      // a column reference; nullptr for count(*)
   std::string alias;
 };
 
-/// Hash group-by over `group_columns` computing `aggregates`. An empty
-/// group list computes global aggregates (one output row).
+/// Hash group-by over `group_columns` computing `aggregates`, over the
+/// rows listed in `sel` (every row when null). An empty group list
+/// computes global aggregates (one output row).
+///
+/// Typed throughout: a group key is the raw value of each key column
+/// (dictionary code, int64, double bits, bool) plus a null mask, and the
+/// states update from the argument columns' raw vectors. Computed
+/// arguments must be materialised as columns first. Groups come out in
+/// first-seen order, and sums accumulate in row order within morsels
+/// merged in morsel order, so results are identical at any thread count.
 Result<storage::Table> GroupAggregate(
     const storage::Table& table, const std::vector<std::string>& group_columns,
-    const std::vector<AggregateItem>& aggregates);
+    const std::vector<AggregateItem>& aggregates,
+    const storage::SelectionVector* sel = nullptr);
 
 struct SortKey {
   std::string column;

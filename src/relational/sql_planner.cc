@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <optional>
 #include <sstream>
 
 #include "obs/metrics.h"
@@ -9,6 +10,7 @@
 
 namespace teleios::relational {
 
+using storage::SelectionVector;
 using storage::Table;
 
 namespace {
@@ -129,64 +131,63 @@ Result<Table> RunSelect(const SelectStatement& stmt,
     plan_span.SetAttr("joins", std::to_string(stmt.joins.size()));
   }
 
+  // Filters `table` by the conjuncts that resolve against it alone and
+  // drops them from `conjuncts`. Returns `table` itself when none do,
+  // else the filtered copy left in `*filtered`.
   auto push_down = [&](const Table& table,
-                       const std::vector<std::string>& names)
-      -> Result<Table> {
+                       const std::vector<std::string>& names,
+                       const std::string& note,
+                       Table* filtered) -> Result<const Table*> {
     std::vector<ExprPtr> pushed;
     std::vector<ExprPtr> rest;
     for (const ExprPtr& c : conjuncts) {
-      if (ResolvableAgainst(c, table.schema(), names)) {
-        pushed.push_back(c);
-      } else {
-        rest.push_back(c);
-      }
+      (ResolvableAgainst(c, table.schema(), names) ? pushed : rest)
+          .push_back(c);
     }
+    if (pushed.empty()) return &table;
     conjuncts = std::move(rest);
-    if (pushed.empty()) return table;
-    trace->Add("  pushdown filter: " + AndTogether(pushed)->ToString());
-    return Filter(table, AndTogether(pushed));
+    trace->Add("  " + note + ": " + AndTogether(pushed)->ToString());
+    TELEIOS_ASSIGN_OR_RETURN(*filtered, Filter(table, AndTogether(pushed)));
+    return filtered;
   };
 
-  Table current = *base_ptr;
+  // The relation the operators below read: `*input`, restricted to the
+  // WHERE candidate list once the filter ran. A single-table SELECT scans
+  // the catalog's table by reference; the join path owns its
+  // intermediates.
+  const Table* input = base_ptr.get();
+  Table joined;
   trace->Add("scan " + stmt.from.name);
   {
     obs::TraceSpan scan_span("scan");
     scan_span.SetAttr("table", stmt.from.name);
-    scan_span.SetAttr("rows", std::to_string(current.num_rows()));
+    scan_span.SetAttr("rows", std::to_string(input->num_rows()));
     obs::Count("teleios_relational_scans_total");
   }
   if (!stmt.joins.empty()) {
     std::vector<std::string> left_names = {stmt.from.name};
     if (!stmt.from.alias.empty()) left_names.push_back(stmt.from.alias);
-    TELEIOS_ASSIGN_OR_RETURN(current, push_down(current, left_names));
+    Table left_filtered;
+    TELEIOS_ASSIGN_OR_RETURN(
+        const Table* left,
+        push_down(*base_ptr, left_names, "pushdown filter", &left_filtered));
     for (const JoinClause& join : stmt.joins) {
       TELEIOS_ASSIGN_OR_RETURN(storage::TablePtr right_ptr,
                                catalog.GetTable(join.table.name));
-      Table right = *right_ptr;
       std::vector<std::string> right_names = {join.table.name};
       if (!join.table.alias.empty()) right_names.push_back(join.table.alias);
       // Push single-side conjuncts below the join (inner joins only; for
       // left outer joins pushing into the right side is still sound, but
       // pushing a left-side filter is too — both are row-preserving here).
-      {
-        std::vector<ExprPtr> pushed;
-        std::vector<ExprPtr> rest;
-        for (const ExprPtr& c : conjuncts) {
-          if (ResolvableAgainst(c, right.schema(), right_names)) {
-            pushed.push_back(c);
-          } else {
-            rest.push_back(c);
-          }
-        }
-        if (join.type == JoinType::kInner && !pushed.empty()) {
-          conjuncts = std::move(rest);
-          trace->Add("  pushdown filter (right): " +
-                     AndTogether(pushed)->ToString());
-          TELEIOS_ASSIGN_OR_RETURN(right, Filter(right, AndTogether(pushed)));
-        }
+      Table right_filtered;
+      const Table* right = right_ptr.get();
+      if (join.type == JoinType::kInner) {
+        TELEIOS_ASSIGN_OR_RETURN(
+            right, push_down(*right_ptr, right_names,
+                             "pushdown filter (right)", &right_filtered));
       }
-      JoinKeys keys = DecomposeJoinCondition(join.condition, current.schema(),
-                                             right.schema());
+      JoinKeys keys = DecomposeJoinCondition(join.condition, left->schema(),
+                                             right->schema());
       if (keys.left.empty()) {
         return Status::Unimplemented(
             "join requires at least one equality condition between the two "
@@ -199,68 +200,88 @@ Result<Table> RunSelect(const SelectStatement& stmt,
         obs::TraceSpan join_span("hash join");
         join_span.SetAttr("right", join.table.name);
         TELEIOS_ASSIGN_OR_RETURN(
-            current,
-            HashJoin(current, right, keys.left, keys.right, join.type));
-        join_span.SetAttr("rows", std::to_string(current.num_rows()));
+            joined, HashJoin(*left, *right, keys.left, keys.right, join.type));
+        join_span.SetAttr("rows", std::to_string(joined.num_rows()));
       }
       if (!keys.residue.empty()) {
-        TELEIOS_ASSIGN_OR_RETURN(current,
-                                 Filter(current, AndTogether(keys.residue)));
+        TELEIOS_ASSIGN_OR_RETURN(joined,
+                                 Filter(joined, AndTogether(keys.residue)));
       }
+      left = &joined;
       left_names.insert(left_names.end(), right_names.begin(),
                         right_names.end());
     }
-  }
-  if (!conjuncts.empty()) {
-    ExprPtr where = AndTogether(conjuncts);
-    trace->Add("filter " + where->ToString() +
-               (IsVectorizablePredicate(current, where) ? " [vectorized]"
-                                                        : " [interpreted]"));
-    obs::TraceSpan filter_span("filter");
-    TELEIOS_ASSIGN_OR_RETURN(current, Filter(current, where));
-    filter_span.SetAttr("rows", std::to_string(current.num_rows()));
+    input = &joined;
   }
 
-  // --- aggregation or plain projection -----------------------------------
+  // --- plan the consumer --------------------------------------------------
+  // It decides which columns are Taken through the WHERE candidate list:
+  // a projection Takes its own column references, an aggregate reads its
+  // key and argument columns through the list and Takes only what a
+  // computed key or argument needs.
   bool has_aggregate =
       !stmt.group_by.empty() ||
       std::any_of(stmt.items.begin(), stmt.items.end(),
                   [](const SelectItem& it) {
                     return !it.is_star && ContainsAggregate(it.expr);
                   });
+  size_t columns_taken = 0;
 
-  Table output;
+  // Aggregate: keys and aggregates over plain columns, and `pre`, the
+  // working table of referenced columns plus computed keys (_gN) and
+  // arguments (_aN), materialised only when something is computed.
+  std::vector<std::string> group_names;
+  std::vector<AggregateItem> aggs;
+  std::vector<ProjectItem> pre;
+  bool computed = false;
+  auto pre_column = [&](const ExprPtr& ref) {
+    std::string name = BareName(ref->column);
+    if (std::none_of(pre.begin(), pre.end(), [&](const ProjectItem& p) {
+          return p.alias == name;
+        })) {
+      pre.push_back({ref, name});
+    }
+  };
+  auto add_aggregate = [&](const ExprPtr& call, const std::string& alias) {
+    AggregateItem agg{call->function, nullptr, alias};
+    if (!call->children.empty()) {
+      agg.argument = call->children[0];
+      if (agg.argument->kind == ExprKind::kColumnRef) {
+        pre_column(agg.argument);
+      } else {
+        std::string name = "_a" + std::to_string(aggs.size());
+        pre.push_back({agg.argument, name});
+        agg.argument = Expr::ColumnRef(name);
+        computed = true;
+      }
+    }
+    aggs.push_back(std::move(agg));
+  };
+  struct OutputItem {
+    bool from_group;
+    std::string name;   // group column or aggregate alias
+    std::string alias;  // output name
+  };
+  std::vector<OutputItem> outputs;
+  ExprPtr having = stmt.having;
+  // Projection: one item per output column; SELECT * alone Takes rows.
+  bool star_only = stmt.items.size() == 1 && stmt.items[0].is_star;
+  std::vector<ProjectItem> proj;
+
   if (has_aggregate) {
-    // Materialize non-trivial group expressions as columns.
-    std::vector<std::string> group_names;
-    {
-      std::vector<ProjectItem> pre;
-      for (size_t c = 0; c < current.num_columns(); ++c) {
-        const std::string& name = current.schema().field(c).name;
-        pre.push_back({Expr::ColumnRef(name), name});
-      }
-      int gi = 0;
-      for (const ExprPtr& g : stmt.group_by) {
-        if (g->kind == ExprKind::kColumnRef) {
-          group_names.push_back(BareName(g->column));
-        } else {
-          std::string name = "_g" + std::to_string(gi++);
-          pre.push_back({g, name});
-          group_names.push_back(name);
-        }
-      }
-      if (gi > 0) {
-        TELEIOS_ASSIGN_OR_RETURN(current, ProjectCompute(current, pre));
+    int gi = 0;
+    for (const ExprPtr& g : stmt.group_by) {
+      if (g->kind == ExprKind::kColumnRef) {
+        group_names.push_back(BareName(g->column));
+        pre_column(g);
+      } else {
+        std::string name = "_g" + std::to_string(gi++);
+        pre.push_back({g, name});
+        group_names.push_back(name);
+        computed = true;
       }
     }
     // Select items: group columns or aggregate calls.
-    std::vector<AggregateItem> aggs;
-    struct OutputItem {
-      bool from_group;
-      std::string name;   // group column or aggregate alias
-      std::string alias;  // output name
-    };
-    std::vector<OutputItem> outputs;
     for (const SelectItem& item : stmt.items) {
       if (item.is_star) {
         return Status::InvalidArgument("SELECT * with GROUP BY");
@@ -272,12 +293,7 @@ Result<Table> RunSelect(const SelectStatement& stmt,
               "aggregate must be a direct function call: " +
               item.expr->ToString());
         }
-        AggregateItem agg;
-        agg.function = item.expr->function;
-        agg.argument =
-            item.expr->children.empty() ? nullptr : item.expr->children[0];
-        agg.alias = item.alias;
-        aggs.push_back(agg);
+        add_aggregate(item.expr, item.alias);
         outputs.push_back({false, item.alias, item.alias});
       } else {
         // Must match a group expression.
@@ -305,7 +321,6 @@ Result<Table> RunSelect(const SelectStatement& stmt,
       }
     }
     // HAVING may reference aggregates; materialize them too.
-    ExprPtr having = stmt.having;
     if (having) {
       std::vector<ExprPtr> agg_calls;
       std::function<void(const ExprPtr&)> collect = [&](const ExprPtr& e) {
@@ -329,50 +344,89 @@ Result<Table> RunSelect(const SelectStatement& stmt,
         }
         if (alias.empty()) {
           alias = "_h" + std::to_string(aggs.size());
-          AggregateItem agg;
-          agg.function = call->function;
-          agg.argument = call->children.empty() ? nullptr : call->children[0];
-          agg.alias = alias;
-          aggs.push_back(agg);
+          add_aggregate(call, alias);
         }
         having = RewriteSubtree(having, call_str, alias);
       }
     }
+    if (computed) {
+      columns_taken = static_cast<size_t>(
+          std::count_if(pre.begin(), pre.end(), [](const ProjectItem& p) {
+            return p.expr->kind == ExprKind::kColumnRef;
+          }));
+    }
+  } else if (star_only) {
+    columns_taken = input->num_columns();
+  } else {
+    for (const SelectItem& item : stmt.items) {
+      if (item.is_star) {
+        for (size_t c = 0; c < input->num_columns(); ++c) {
+          const std::string& name = input->schema().field(c).name;
+          proj.push_back({Expr::ColumnRef(name), name});
+        }
+      } else {
+        proj.push_back({item.expr, item.alias});
+      }
+    }
+    columns_taken = static_cast<size_t>(
+        std::count_if(proj.begin(), proj.end(), [](const ProjectItem& p) {
+          return p.expr->kind == ExprKind::kColumnRef;
+        }));
+  }
+
+  // --- WHERE: a candidate list over `input` -------------------------------
+  std::optional<SelectionVector> sel;
+  if (!conjuncts.empty()) {
+    ExprPtr where = AndTogether(conjuncts);
+    trace->Add("filter " + where->ToString() +
+               (IsVectorizablePredicate(*input, where) ? " [vectorized]"
+                                                       : " [interpreted]"));
+    obs::TraceSpan filter_span("filter");
+    filter_span.SetAttr("rows_in", std::to_string(input->num_rows()));
+    TELEIOS_ASSIGN_OR_RETURN(sel, FilterIndices(*input, where));
+    filter_span.SetAttr("rows_out", std::to_string(sel->size()));
+    filter_span.SetAttr("columns_taken", std::to_string(columns_taken));
+  }
+  const SelectionVector* rows = sel ? &*sel : nullptr;
+
+  // --- aggregation or plain projection -----------------------------------
+  Table output;
+  if (has_aggregate) {
+    const Table* agg_input = input;
+    Table working;
+    if (computed) {
+      TELEIOS_ASSIGN_OR_RETURN(working, ProjectCompute(*input, pre, rows));
+      agg_input = &working;
+      rows = nullptr;
+    }
     trace->Add("group aggregate (" + std::to_string(group_names.size()) +
                " keys, " + std::to_string(aggs.size()) + " aggregates)");
     obs::TraceSpan agg_span("aggregate");
-    TELEIOS_ASSIGN_OR_RETURN(Table agg_out,
-                             GroupAggregate(current, group_names, aggs));
-    agg_span.SetAttr("groups", std::to_string(agg_out.num_rows()));
+    agg_span.SetAttr("rows_in", std::to_string(rows != nullptr
+                                                   ? rows->size()
+                                                   : agg_input->num_rows()));
+    TELEIOS_ASSIGN_OR_RETURN(
+        Table agg_out, GroupAggregate(*agg_input, group_names, aggs, rows));
+    agg_span.SetAttr("rows_out", std::to_string(agg_out.num_rows()));
     if (having) {
       trace->Add("having " + having->ToString());
       TELEIOS_ASSIGN_OR_RETURN(agg_out, Filter(agg_out, having));
     }
     // Final projection to requested output order / names.
-    std::vector<ProjectItem> proj;
+    std::vector<ProjectItem> final_items;
     for (const OutputItem& o : outputs) {
-      proj.push_back({Expr::ColumnRef(o.name), o.alias});
+      final_items.push_back({Expr::ColumnRef(o.name), o.alias});
     }
-    TELEIOS_ASSIGN_OR_RETURN(output, ProjectCompute(agg_out, proj));
-  } else {
-    bool star_only = stmt.items.size() == 1 && stmt.items[0].is_star;
-    if (star_only) {
-      output = current;
+    TELEIOS_ASSIGN_OR_RETURN(output, ProjectCompute(agg_out, final_items));
+  } else if (star_only) {
+    if (rows != nullptr) {
+      output = input->Take(*rows);
     } else {
-      std::vector<ProjectItem> proj;
-      for (const SelectItem& item : stmt.items) {
-        if (item.is_star) {
-          for (size_t c = 0; c < current.num_columns(); ++c) {
-            const std::string& name = current.schema().field(c).name;
-            proj.push_back({Expr::ColumnRef(name), name});
-          }
-        } else {
-          proj.push_back({item.expr, item.alias});
-        }
-      }
-      trace->Add("project " + std::to_string(proj.size()) + " columns");
-      TELEIOS_ASSIGN_OR_RETURN(output, ProjectCompute(current, proj));
+      output = input == &joined ? std::move(joined) : *input;
     }
+  } else {
+    trace->Add("project " + std::to_string(proj.size()) + " columns");
+    TELEIOS_ASSIGN_OR_RETURN(output, ProjectCompute(*input, proj, rows));
   }
 
   if (stmt.distinct) {

@@ -1,5 +1,7 @@
 #include "storage/column.h"
 
+#include <unordered_map>
+
 namespace teleios::storage {
 
 const char* ColumnTypeName(ColumnType t) {
@@ -172,27 +174,66 @@ Status Column::Set(size_t row, const Value& v) {
                            ColumnTypeName(type_) + " column");
 }
 
+namespace {
+
+/// dst[i] = src[sel[i]] for valid rows, T{} for null ones (what
+/// AppendNull stores), so a stale value under a NULL never leaks out.
+template <typename T>
+void Gather(const std::vector<T>& src, const std::vector<uint8_t>& validity,
+            const SelectionVector& sel, std::vector<T>* dst) {
+  dst->resize(sel.size());
+  T* out = dst->data();
+  for (size_t i = 0; i < sel.size(); ++i) {
+    uint32_t row = sel[i];
+    out[i] = validity[row] ? src[row] : T{};
+  }
+}
+
+}  // namespace
+
 Column Column::Take(const SelectionVector& sel) const {
   Column out(type_);
-  out.Reserve(sel.size());
-  for (uint32_t row : sel) {
-    if (IsNull(row)) {
-      out.AppendNull();
-      continue;
-    }
-    switch (type_) {
-      case ColumnType::kBool:
-        out.AppendBool(GetBool(row));
-        break;
-      case ColumnType::kInt64:
-        out.AppendInt64(GetInt64(row));
-        break;
-      case ColumnType::kFloat64:
-        out.AppendFloat64(GetFloat64(row));
-        break;
-      case ColumnType::kString:
-        out.AppendString(GetString(row));
-        break;
+  out.validity_.resize(sel.size());
+  for (size_t i = 0; i < sel.size(); ++i) out.validity_[i] = validity_[sel[i]];
+  switch (type_) {
+    case ColumnType::kBool:
+      Gather(bools_, validity_, sel, &out.bools_);
+      break;
+    case ColumnType::kInt64:
+      Gather(ints_, validity_, sel, &out.ints_);
+      break;
+    case ColumnType::kFloat64:
+      Gather(doubles_, validity_, sel, &out.doubles_);
+      break;
+    case ColumnType::kString: {
+      // Codes are remapped into the result's own dictionary, each
+      // distinct string interned once on first sight: the same
+      // dictionary a row-by-row AppendString would build. The remap is a
+      // dense table when the selection is large next to the dictionary,
+      // a hash map otherwise, so a point lookup never pays for a big
+      // dictionary.
+      bool dense = sel.size() >= static_cast<size_t>(dict_->size()) / 8;
+      std::vector<int32_t> dense_map;
+      std::unordered_map<int32_t, int32_t> sparse_map;
+      if (dense) dense_map.assign(dict_->size(), Dictionary::kInvalidCode);
+      out.codes_.resize(sel.size());
+      for (size_t i = 0; i < sel.size(); ++i) {
+        uint32_t row = sel[i];
+        if (!validity_[row]) {
+          out.codes_[i] = Dictionary::kInvalidCode;
+          continue;
+        }
+        int32_t code = codes_[row];
+        int32_t& slot =
+            dense ? dense_map[code]
+                  : sparse_map.try_emplace(code, Dictionary::kInvalidCode)
+                        .first->second;
+        if (slot == Dictionary::kInvalidCode) {
+          slot = out.dict_->Intern(dict_->At(code));
+        }
+        out.codes_[i] = slot;
+      }
+      break;
     }
   }
   return out;

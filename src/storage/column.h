@@ -71,7 +71,10 @@ class Column {
   const Dictionary& dict() const { return *dict_; }
   Dictionary& dict() { return *dict_; }
 
-  /// Raw typed storage (for vectorized operators / benchmarks).
+  /// Raw typed storage (for vectorized operators / benchmarks). Null
+  /// rows hold a zero (kInvalidCode for strings) in the typed vector.
+  const std::vector<uint8_t>& validity() const { return validity_; }
+  const std::vector<uint8_t>& bools() const { return bools_; }
   const std::vector<int64_t>& ints() const { return ints_; }
   const std::vector<double>& doubles() const { return doubles_; }
   const std::vector<int32_t>& codes() const { return codes_; }
@@ -84,7 +87,9 @@ class Column {
   /// Overwrites a cell with a (coercible) value or NULL.
   Status Set(size_t row, const Value& v);
 
-  /// Returns a new column holding rows listed in `sel`.
+  /// Returns a new column holding rows listed in `sel`, typed: values
+  /// and string codes are copied, and each distinct string is interned
+  /// once into the result's own dictionary (first-seen order).
   Column Take(const SelectionVector& sel) const;
 
   /// Approximate heap usage in bytes.

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <future>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -323,6 +324,47 @@ TEST(ParallelForTest, ExpiredDeadlineRunsNothing) {
   EXPECT_EQ(executed.load(), size_t{0});
 }
 
+TEST(ParallelForTest, ReturnsWithoutWaitingBehindQueuedWork) {
+  // Every worker and the injection queue hold latch-blocked tasks, so the
+  // region's runner tasks queue behind them. The calling thread runs all
+  // morsels itself and must return without waiting for its runners to
+  // get a turn (or running a blocked task while it waits).
+  ThreadPool pool(4, "latched");
+  std::promise<void> open;
+  std::shared_future<void> latch = open.get_future().share();
+  std::atomic<int> started{0};
+  auto blocker = [&started, latch] {
+    started.fetch_add(1);
+    latch.wait();
+  };
+  for (int i = 0; i < pool.workers(); ++i) pool.Submit(blocker);
+  while (started.load() < pool.workers()) std::this_thread::yield();
+  for (int i = 0; i < 2; ++i) pool.Submit(blocker);
+
+  std::atomic<bool> returned{false};
+  std::atomic<size_t> covered{0};
+  Status status;
+  std::thread caller([&] {
+    ParallelOptions opts;
+    opts.pool = &pool;
+    opts.grain = 1;
+    status = ParallelFor(64, opts, [&](size_t, size_t b, size_t e) {
+      covered.fetch_add(e - b);
+      return Status::OK();
+    });
+    returned.store(true);
+  });
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!returned.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(returned.load()) << "ParallelFor waited behind queued work";
+  open.set_value();
+  caller.join();
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(covered.load(), size_t{64});
+}
+
 TEST(CancellationTokenTest, CheckIsStickyAndTyped) {
   CancellationToken token;
   EXPECT_TRUE(token.Check().ok());
@@ -350,10 +392,12 @@ storage::TablePtr MakeMeasurements(size_t rows) {
   for (size_t i = 0; i < rows; ++i) {
     state = state * 6364136223846793005ull + 1442695040888963407ull;
     double temp = 250.0 + static_cast<double>(state % 100000) / 1000.0;
+    // Some rows have no band and some no temperature: NULL group keys
+    // and NULL aggregate inputs.
+    Value band = i % 97 == 5 ? Value() : Value(std::string(1, 'a' + (i % 7)));
     EXPECT_TRUE(table
-                    ->AppendRow({Value(static_cast<int64_t>(i)),
-                                 Value(std::string(1, 'a' + (i % 7))),
-                                 Value(temp)})
+                    ->AppendRow({Value(static_cast<int64_t>(i)), band,
+                                 i % 89 == 3 ? Value() : Value(temp)})
                     .ok());
   }
   return table;

@@ -157,6 +157,48 @@ TEST_F(ObservatoryTest, ProfileSqlReturnsSpanTree) {
   EXPECT_FALSE(veo_.Sql("PROFILE SELECT * FROM nope").ok());
 }
 
+/// Detail column of the first PROFILE row for span `name` ("" if none).
+std::string SpanDetail(const storage::Table& profile, const std::string& name) {
+  for (size_t r = 0; r < profile.num_rows(); ++r) {
+    if (profile.Get(r, 0).AsString() == name) {
+      return profile.Get(r, 3).AsString();
+    }
+  }
+  return "";
+}
+
+TEST_F(ObservatoryTest, ProfileShowsLateMaterialisation) {
+  ASSERT_TRUE(veo_.Sql("CREATE TABLE m (id INT, band VARCHAR, temp DOUBLE)")
+                  .ok());
+  ASSERT_TRUE(veo_.Sql("INSERT INTO m VALUES (1, 'IR039', 310.0), "
+                       "(2, 'IR108', 290.0), (3, 'IR039', 305.0), "
+                       "(4, 'VIS006', 320.0)")
+                  .ok());
+  // count(*) reads no column through the candidate list.
+  auto count =
+      veo_.Sql("PROFILE SELECT count(*) AS n FROM m WHERE temp > 300.0");
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  std::string filter = SpanDetail(*count, "filter");
+  EXPECT_NE(filter.find("rows_in=4"), std::string::npos) << filter;
+  EXPECT_NE(filter.find("rows_out=3"), std::string::npos) << filter;
+  EXPECT_NE(filter.find("columns_taken=0"), std::string::npos) << filter;
+  std::string aggregate = SpanDetail(*count, "aggregate");
+  EXPECT_NE(aggregate.find("rows_in=3"), std::string::npos) << aggregate;
+  EXPECT_NE(aggregate.find("rows_out=1"), std::string::npos) << aggregate;
+  // A projection Takes its own columns and no others.
+  auto projection =
+      veo_.Sql("PROFILE SELECT id, band FROM m WHERE temp > 300.0");
+  ASSERT_TRUE(projection.ok()) << projection.status().ToString();
+  filter = SpanDetail(*projection, "filter");
+  EXPECT_NE(filter.find("columns_taken=2"), std::string::npos) << filter;
+  auto grouped =
+      veo_.Sql("PROFILE SELECT band, max(temp) AS mx FROM m GROUP BY band");
+  ASSERT_TRUE(grouped.ok()) << grouped.status().ToString();
+  aggregate = SpanDetail(*grouped, "aggregate");
+  EXPECT_NE(aggregate.find("rows_in=4"), std::string::npos) << aggregate;
+  EXPECT_NE(aggregate.find("rows_out=3"), std::string::npos) << aggregate;
+}
+
 TEST_F(ObservatoryTest, ProfileSciQlReturnsSpanTree) {
   ASSERT_TRUE(veo_.AttachArchive(dir_.string()).ok());
   ASSERT_TRUE(veo_.RegisterRaster("msg").ok());

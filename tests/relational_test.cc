@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <numeric>
+
+#include "exec/parallel_for.h"
+#include "exec/thread_pool.h"
+
 #include "relational/evaluator.h"
 #include "relational/expression.h"
 #include "relational/operators.h"
@@ -381,6 +387,299 @@ TEST_P(FilterSweep, ThresholdCountsMatchBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, FilterSweep,
                          ::testing::Values(0, 1, 10, 257, 4096));
+
+// ---------------------------------------------------------------------------
+// Differential coverage of the typed kernels (NoREC-style): the vectorized
+// filter and the late-materialised count against the row interpreter,
+// and the typed GROUP BY against a reference built cell by cell with
+// Table::Get. Seeded and bounded; every check runs at 1, 2 and 8 threads.
+
+/// Restores the global pool to the environment default on scope exit.
+class ThreadSweepGuard {
+ public:
+  ~ThreadSweepGuard() {
+    exec::ThreadPool::SetGlobalThreads(exec::ThreadPool::DefaultThreads());
+  }
+};
+
+class Rng {
+ public:
+  explicit Rng(uint64_t seed) : state_(seed) {}
+  uint64_t Next() {
+    state_ = state_ * 6364136223846793005ull + 1442695040888963407ull;
+    return state_ >> 17;
+  }
+  int64_t Below(int64_t n) { return static_cast<int64_t>(Next() % n); }
+
+ private:
+  uint64_t state_;
+};
+
+constexpr int64_t kTwo53 = int64_t{1} << 53;
+const char* const kWords[] = {"VIS006", "IR039", "IR108", "WV062", "ir039"};
+
+/// BIGINT values that doubles cannot tell apart: ±2^53 and neighbours,
+/// plus small ones.
+int64_t RandomBigint(Rng& rng) {
+  int64_t near = rng.Below(5) - 2;
+  switch (rng.Below(3)) {
+    case 0:
+      return kTwo53 + near;
+    case 1:
+      return -kTwo53 + near;
+    default:
+      return rng.Below(41) - 20;
+  }
+}
+
+/// i, j BIGINT; d DOUBLE (eighths, never NaN or -0); s VARCHAR from a
+/// five-word dictionary; b BOOL. Every column has NULLs.
+Table RandomTable(Rng& rng, size_t rows) {
+  Table t{Schema({{"i", ColumnType::kInt64},
+                  {"j", ColumnType::kInt64},
+                  {"d", ColumnType::kFloat64},
+                  {"s", ColumnType::kString},
+                  {"b", ColumnType::kBool}})};
+  auto null = [&] { return rng.Below(9) == 0; };
+  for (size_t r = 0; r < rows; ++r) {
+    std::vector<Value> row;
+    row.push_back(null() ? Value() : Value(RandomBigint(rng)));
+    row.push_back(null() ? Value() : Value(RandomBigint(rng)));
+    row.push_back(null() ? Value()
+                         : Value(static_cast<double>(rng.Below(161) - 80) / 8));
+    row.push_back(null() ? Value() : Value(kWords[rng.Below(5)]));
+    row.push_back(null() ? Value() : Value(rng.Below(2) == 0));
+    EXPECT_TRUE(t.AppendRow(row).ok());
+  }
+  return t;
+}
+
+ExprPtr RandomLiteral(Rng& rng) {
+  switch (rng.Below(3)) {
+    case 0:
+      return Expr::Literal(Value(RandomBigint(rng)));
+    case 1:
+      return Expr::Literal(Value(static_cast<double>(rng.Below(161) - 80) / 8));
+    default:
+      return Expr::Literal(Value(static_cast<double>(kTwo53) + 2.0));
+  }
+}
+
+/// One conjunct of every shape the vectorized path compiles.
+ExprPtr RandomConjunct(Rng& rng) {
+  const BinaryOp kCmps[] = {BinaryOp::kEq, BinaryOp::kNe, BinaryOp::kLt,
+                            BinaryOp::kLe, BinaryOp::kGt, BinaryOp::kGe};
+  const char* kNumeric[] = {"i", "j", "d", "b"};
+  BinaryOp cmp = kCmps[rng.Below(6)];
+  ExprPtr a = Expr::ColumnRef(kNumeric[rng.Below(4)]);
+  ExprPtr b = Expr::ColumnRef(kNumeric[rng.Below(4)]);
+  switch (rng.Below(6)) {
+    case 0:
+      return Expr::Binary(cmp, a, RandomLiteral(rng));
+    case 1:
+      return Expr::Binary(cmp, RandomLiteral(rng), a);
+    case 2:
+      return Expr::Binary(cmp, a, b);
+    case 3:
+      return Expr::Binary(cmp, Expr::Binary(BinaryOp::kSub, a, b),
+                          RandomLiteral(rng));
+    case 4:
+      return Expr::Binary(rng.Below(2) == 0 ? BinaryOp::kEq : BinaryOp::kNe,
+                          Expr::ColumnRef("s"),
+                          Expr::Literal(Value(kWords[rng.Below(5)])));
+    default:
+      return Expr::ColumnRef("b");
+  }
+}
+
+TEST(KernelDifferentialTest, VectorizedCountMatchesInterpreter) {
+  ThreadSweepGuard guard;
+  Rng rng(20120827);
+  for (int round = 0; round < 12; ++round) {
+    Table t = RandomTable(rng, 3000 + static_cast<size_t>(rng.Below(9000)));
+    for (int q = 0; q < 25; ++q) {
+      ExprPtr p = RandomConjunct(rng);
+      for (int64_t k = rng.Below(3); k > 0; --k) {
+        p = Expr::Binary(BinaryOp::kAnd, p, RandomConjunct(rng));
+      }
+      ASSERT_TRUE(IsVectorizablePredicate(t, p)) << p->ToString();
+      exec::ThreadPool::SetGlobalThreads(1);
+      auto reference = FilterIndicesInterpreted(t, p);
+      ASSERT_TRUE(reference.ok()) << p->ToString();
+      for (int threads : {1, 2, 8}) {
+        exec::ThreadPool::SetGlobalThreads(threads);
+        auto sel = FilterIndices(t, p);
+        ASSERT_TRUE(sel.ok()) << p->ToString();
+        EXPECT_EQ(*sel, *reference) << p->ToString() << " @" << threads;
+        auto count = GroupAggregate(t, {}, {{"count", nullptr, "n"}}, &*sel);
+        ASSERT_TRUE(count.ok());
+        EXPECT_EQ(count->Get(0, 0),
+                  Value(static_cast<int64_t>(reference->size())))
+            << p->ToString() << " @" << threads;
+      }
+    }
+  }
+}
+
+/// GROUP BY over `keys` computed cell by cell: groups in first-seen
+/// order, sums in the documented order (rows within a morsel, morsels in
+/// index order), extremes by Value::Compare.
+Table ReferenceGroupBy(const Table& t, const std::vector<int>& keys,
+                       const std::vector<std::pair<std::string, int>>& aggs,
+                       const storage::SelectionVector& sel) {
+  struct Acc {
+    int64_t count = 0;
+    Value sum_int = Value(int64_t{0});
+    double sum = 0, morsel_sum = 0;
+    size_t morsel = SIZE_MAX;
+    Value min, max;
+  };
+  std::vector<std::vector<Value>> group_keys;
+  std::vector<std::vector<Acc>> accs;
+  exec::MorselPlan plan = exec::PlanMorsels(sel.size());
+  for (size_t i = 0; i < sel.size(); ++i) {
+    std::vector<Value> key;
+    for (int k : keys) key.push_back(t.Get(sel[i], k));
+    size_t g = 0;
+    while (g < group_keys.size() &&
+           !std::equal(key.begin(), key.end(), group_keys[g].begin(),
+                       [](const Value& x, const Value& y) {
+                         return x.type() == y.type() && x.Compare(y) == 0;
+                       })) {
+      ++g;
+    }
+    if (g == group_keys.size()) {
+      group_keys.push_back(key);
+      accs.emplace_back(aggs.size());
+    }
+    for (size_t a = 0; a < aggs.size(); ++a) {
+      Acc& acc = accs[g][a];
+      Value v = aggs[a].second < 0 ? Value(int64_t{1})
+                                   : t.Get(sel[i], aggs[a].second);
+      if (v.is_null()) continue;
+      size_t morsel = i / plan.grain;
+      if (morsel != acc.morsel) {
+        acc.sum += acc.morsel_sum;
+        acc.morsel_sum = 0;
+        acc.morsel = morsel;
+      }
+      if (v.type() != ValueType::kString) acc.morsel_sum += *v.ToDouble();
+      if (v.type() == ValueType::kInt64) {
+        acc.sum_int = Value(static_cast<int64_t>(
+            static_cast<uint64_t>(acc.sum_int.AsInt64()) +
+            static_cast<uint64_t>(v.AsInt64())));
+      }
+      if (acc.count == 0 || v.Compare(acc.min) < 0) acc.min = v;
+      if (acc.count == 0 || v.Compare(acc.max) > 0) acc.max = v;
+      ++acc.count;
+    }
+  }
+  std::vector<storage::Field> fields;
+  for (int k : keys) fields.push_back(t.schema().field(k));
+  for (const auto& [fn, col] : aggs) {
+    ColumnType type = ColumnType::kFloat64;
+    if (fn == "count" || (fn == "sum" && col >= 0 &&
+                          t.column(col).type() == ColumnType::kInt64)) {
+      type = ColumnType::kInt64;
+    } else if ((fn == "min" || fn == "max") && col >= 0) {
+      type = t.column(col).type();
+    }
+    fields.push_back({fn, type});
+  }
+  Table out{Schema(std::move(fields))};
+  for (size_t g = 0; g < group_keys.size(); ++g) {
+    std::vector<Value> row = group_keys[g];
+    for (size_t a = 0; a < aggs.size(); ++a) {
+      const Acc& acc = accs[g][a];
+      const std::string& fn = aggs[a].first;
+      double sum = acc.sum + acc.morsel_sum;
+      if (fn == "count") {
+        row.push_back(Value(acc.count));
+      } else if (acc.count == 0) {
+        row.emplace_back();
+      } else if (fn == "sum" &&
+                 out.column(row.size()).type() == ColumnType::kInt64) {
+        row.push_back(acc.sum_int);
+      } else if (fn == "sum") {
+        row.push_back(Value(sum));
+      } else if (fn == "avg") {
+        row.push_back(Value(sum / static_cast<double>(acc.count)));
+      } else {
+        row.push_back(fn == "min" ? acc.min : acc.max);
+      }
+    }
+    EXPECT_TRUE(out.AppendRow(row).ok());
+  }
+  return out;
+}
+
+/// Cell-exact comparison, types included (ToString rounds doubles).
+void ExpectSameTable(const Table& got, const Table& want,
+                     const std::string& what) {
+  ASSERT_EQ(got.num_rows(), want.num_rows()) << what;
+  ASSERT_EQ(got.num_columns(), want.num_columns()) << what;
+  for (size_t c = 0; c < got.num_columns(); ++c) {
+    for (size_t r = 0; r < got.num_rows(); ++r) {
+      Value x = got.Get(r, c);
+      Value y = want.Get(r, c);
+      ASSERT_TRUE(x.type() == y.type() &&
+                  (x.type() != ValueType::kFloat64
+                       ? x.Compare(y) == 0
+                       : std::bit_cast<uint64_t>(x.AsFloat64()) ==
+                             std::bit_cast<uint64_t>(y.AsFloat64())))
+          << what << " row " << r << " col " << c << ": " << x.ToString()
+          << " vs " << y.ToString();
+    }
+  }
+}
+
+TEST(KernelDifferentialTest, TypedGroupByMatchesCellReference) {
+  ThreadSweepGuard guard;
+  Rng rng(1987);
+  const std::vector<std::vector<int>> key_sets = {{3}, {4}, {0}, {3, 4},
+                                                  {2, 3}, {4, 1}};
+  std::vector<std::pair<std::string, int>> aggs = {
+      {"count", -1}, {"count", 2}, {"sum", 0}, {"sum", 2}, {"avg", 2},
+      {"min", 0},    {"max", 0},   {"min", 2}, {"max", 2}, {"min", 3},
+      {"max", 3},    {"min", 4},   {"max", 4}, {"sum", 4}, {"avg", 1}};
+  const char* kNames[] = {"i", "j", "d", "s", "b"};
+  std::vector<AggregateItem> items;
+  for (const auto& [fn, col] : aggs) {
+    items.push_back(
+        {fn, col < 0 ? nullptr : Expr::ColumnRef(kNames[col]), fn});
+  }
+  for (int round = 0; round < 3; ++round) {
+    Table t = RandomTable(rng, 9000 + static_cast<size_t>(rng.Below(12000)));
+    ExprPtr where = RandomConjunct(rng);
+    exec::ThreadPool::SetGlobalThreads(1);
+    auto filtered = FilterIndicesInterpreted(t, where);
+    ASSERT_TRUE(filtered.ok());
+    storage::SelectionVector all(t.num_rows());
+    std::iota(all.begin(), all.end(), uint32_t{0});
+    for (const std::vector<int>& keys : key_sets) {
+      std::vector<std::string> names;
+      for (int k : keys) names.push_back(kNames[k]);
+      for (const storage::SelectionVector* sel : {&all, &*filtered}) {
+        Table want = ReferenceGroupBy(t, keys, aggs, *sel);
+        for (int threads : {1, 2, 8}) {
+          exec::ThreadPool::SetGlobalThreads(threads);
+          auto got = GroupAggregate(t, names, items,
+                                    sel == &all ? nullptr : sel);
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          ExpectSameTable(*got, want,
+                          "keys " + names[0] + (sel == &all ? "" : " where " +
+                                                    where->ToString()) +
+                              " @" + std::to_string(threads));
+        }
+        // Keys alone (SELECT DISTINCT-style GROUP BY, no aggregate).
+        auto keys_only = GroupAggregate(t, names, {}, sel);
+        ASSERT_TRUE(keys_only.ok()) << keys_only.status().ToString();
+        ExpectSameTable(*keys_only, ReferenceGroupBy(t, keys, {}, *sel),
+                        "keys only " + names[0]);
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace teleios::relational

@@ -248,6 +248,34 @@ TEST_F(SqlEngineTest, ExplainShowsVectorizedFilter) {
       << *interpreted;
 }
 
+/// Regression: the vectorized filter compared BIGINT through double, so
+/// 2^53 and 2^53 + 1 were one value to it but two to the interpreter.
+TEST(SqlBigintTest, VectorizedFilterComparesBigintExactly) {
+  Catalog catalog;
+  SqlEngine engine(&catalog);
+  ASSERT_TRUE(engine.Execute("CREATE TABLE t (id INT, other INT)").ok());
+  ASSERT_TRUE(engine
+                  .Execute("INSERT INTO t VALUES "
+                           "(9007199254740992, 9007199254740993), "
+                           "(9007199254740993, 9007199254740992)")
+                  .ok());
+  auto count = [&](const std::string& where) -> int64_t {
+    auto out = engine.Execute("SELECT count(*) AS n FROM t WHERE " + where);
+    EXPECT_TRUE(out.ok()) << where << " -> " << out.status().ToString();
+    return out.ok() ? out->Get(0, 0).AsInt64() : -1;
+  };
+  auto plan = engine.Explain(
+      "SELECT count(*) AS n FROM t WHERE id = 9007199254740993");
+  ASSERT_TRUE(plan.ok());
+  EXPECT_NE(plan->find("[vectorized]"), std::string::npos) << *plan;
+  EXPECT_EQ(count("id = 9007199254740993"), 1);        // vectorized
+  EXPECT_EQ(count("id + 0 = 9007199254740993"), 1);    // interpreted
+  EXPECT_EQ(count("9007199254740993 > id"), 1);        // mirrored constant
+  EXPECT_EQ(count("id < other"), 1);                   // column vs column
+  EXPECT_EQ(count("id - other = 1"), 1);               // BIGINT difference
+  EXPECT_EQ(count("id = 9007199254740993.0"), 2);      // DOUBLE literal
+}
+
 /// Parameterized aggregate correctness sweep against a closed form.
 class AggregateSweep : public ::testing::TestWithParam<int> {};
 
