@@ -1,19 +1,120 @@
 #include "rdf/triple_store.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 
 namespace teleios::rdf {
 
 namespace {
 
-/// Deduplication set key.
-struct TripleLess {
+/// The order of a run: `Lead` packs the first two positions of its key
+/// into one integer (flipping the sign bit keeps signed ids in order),
+/// `Third` is the last.
+uint64_t Pack(TermId a, TermId b) {
+  return uint64_t{static_cast<uint32_t>(a) ^ 0x80000000u} << 32 |
+         (static_cast<uint32_t>(b) ^ 0x80000000u);
+}
+
+struct Spo {
+  static uint64_t Lead(const Triple& t) { return Pack(t.s, t.p); }
+  static TermId Third(const Triple& t) { return t.o; }
+};
+
+struct Pos {
+  static uint64_t Lead(const Triple& t) { return Pack(t.p, t.o); }
+  static TermId Third(const Triple& t) { return t.s; }
+};
+
+struct Osp {
+  static uint64_t Lead(const Triple& t) { return Pack(t.o, t.s); }
+  static TermId Third(const Triple& t) { return t.p; }
+};
+
+template <typename Order>
+struct ByKey {
   bool operator()(const Triple& a, const Triple& b) const {
-    if (a.s != b.s) return a.s < b.s;
-    if (a.p != b.p) return a.p < b.p;
-    return a.o < b.o;
+    uint64_t x = Order::Lead(a);
+    uint64_t y = Order::Lead(b);
+    return x != y ? x < y : Order::Third(a) < Order::Third(b);
   }
 };
+
+/// Merges the sorted `batch` (disjoint from `run`) into the sorted `run`
+/// in place, back to front, so only the run's tail past the batch's
+/// smallest triple moves.
+template <typename Less>
+void MergeInto(std::vector<Triple>* run, const std::vector<Triple>& batch,
+               Less less) {
+  size_t i = run->size();
+  size_t j = batch.size();
+  run->resize(i + j);
+  size_t k = run->size();
+  while (j > 0) {
+    if (i > 0 && less(batch[j - 1], (*run)[i - 1])) {
+      (*run)[--k] = (*run)[--i];
+    } else {
+      (*run)[--k] = batch[--j];
+    }
+  }
+}
+
+/// Drops from the sorted `run` every triple in the sorted `doomed`, in
+/// one pass starting at the first triple that can go.
+template <typename Less>
+void EraseSorted(std::vector<Triple>* run, const std::vector<Triple>& doomed,
+                 Less less) {
+  auto w = std::lower_bound(run->begin(), run->end(), doomed.front(), less);
+  auto j = doomed.begin();
+  for (auto r = w; r != run->end(); ++r) {
+    while (j != doomed.end() && less(*j, *r)) ++j;
+    if (j == doomed.end()) {
+      w = w == r ? run->end() : std::move(r, run->end(), w);
+      break;
+    }
+    if (!(*j == *r)) *w++ = *r;
+  }
+  run->erase(w, run->end());
+}
+
+/// The first triple of `run` whose lead is at least `lead` (or, when
+/// `kAbove`, above it). The binary search takes no branch (Khuong &
+/// Morin, "Array Layouts for Comparison-Based Searching", 2017): a
+/// branchy one mispredicts about half its steps, which costs more than
+/// the memory it reads when the run fits in cache.
+template <typename Order, bool kAbove>
+const Triple* LeadBound(const std::vector<Triple>& run, uint64_t lead) {
+  auto before = [lead](const Triple& t) {
+    return kAbove ? Order::Lead(t) <= lead : Order::Lead(t) < lead;
+  };
+  const Triple* it = run.data();
+  for (size_t n = run.size(); n > 1; n -= n / 2) {
+    it = before(it[n / 2 - 1]) ? it + n / 2 : it;
+  }
+  if (!run.empty() && before(*it)) ++it;
+  return it;
+}
+
+/// The triples of `run` matching the pattern, whose bound positions
+/// must form a key prefix of `run`'s order, so they are contiguous.
+template <typename Order>
+std::span<const Triple> PrefixSlice(const std::vector<Triple>& run,
+                                    const TriplePattern& pat) {
+  constexpr TermId kMin = std::numeric_limits<TermId>::min();
+  constexpr TermId kMax = std::numeric_limits<TermId>::max();
+  Triple lo{pat.s.value_or(kMin), pat.p.value_or(kMin), pat.o.value_or(kMin)};
+  Triple hi{pat.s.value_or(kMax), pat.p.value_or(kMax), pat.o.value_or(kMax)};
+  const Triple* first = LeadBound<Order, false>(run, Order::Lead(lo));
+  const Triple* last = LeadBound<Order, true>(run, Order::Lead(hi));
+  if (Order::Third(lo) == Order::Third(hi)) {  // all three bound
+    auto [a, b] = std::equal_range(
+        first, last, lo, [](const Triple& x, const Triple& y) {
+          return Order::Third(x) < Order::Third(y);
+        });
+    return {a, b};
+  }
+  return {first, last};
+}
 
 }  // namespace
 
@@ -21,84 +122,40 @@ void TripleStore::Add(const Term& s, const Term& p, const Term& o) {
   AddEncoded({dict_.Intern(s), dict_.Intern(p), dict_.Intern(o)});
 }
 
-void TripleStore::AddEncoded(Triple t) {
-  // Duplicate check via the SPO index when valid, else linear for small
-  // stores / rebuild later. To keep Add O(log n) amortized we accept
-  // duplicates here and deduplicate on index build.
-  triples_.push_back(t);
-  indexes_valid_ = false;
+void TripleStore::AddEncoded(Triple t) { staged_.push_back(t); }
+
+void TripleStore::Flush() const {
+  if (staged_.empty()) return;
+  std::vector<Triple> batch;
+  batch.swap(staged_);
+  std::sort(batch.begin(), batch.end(), ByKey<Spo>());
+  batch.erase(std::unique(batch.begin(), batch.end()), batch.end());
+  batch.erase(std::remove_if(batch.begin(), batch.end(),
+                             [&](const Triple& t) {
+                               return std::binary_search(
+                                   spo_.begin(), spo_.end(), t, ByKey<Spo>());
+                             }),
+              batch.end());
+  if (batch.empty()) return;
+  MergeInto(&spo_, batch, ByKey<Spo>());
+  std::sort(batch.begin(), batch.end(), ByKey<Pos>());
+  MergeInto(&pos_, batch, ByKey<Pos>());
+  std::sort(batch.begin(), batch.end(), ByKey<Osp>());
+  MergeInto(&osp_, batch, ByKey<Osp>());
 }
 
-void TripleStore::EnsureIndexes() const {
-  if (indexes_valid_) return;
-  // Deduplicate (stable first occurrence).
-  {
-    std::vector<Triple> sorted = triples_;
-    std::sort(sorted.begin(), sorted.end(), TripleLess());
-    sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-    const_cast<TripleStore*>(this)->triples_ = std::move(sorted);
-  }
-  size_t n = triples_.size();
-  spo_.resize(n);
-  pos_.resize(n);
-  osp_.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    spo_[i] = pos_[i] = osp_[i] = static_cast<uint32_t>(i);
-  }
-  // triples_ already sorted SPO.
-  std::sort(pos_.begin(), pos_.end(), [&](uint32_t a, uint32_t b) {
-    const Triple& x = triples_[a];
-    const Triple& y = triples_[b];
-    if (x.p != y.p) return x.p < y.p;
-    if (x.o != y.o) return x.o < y.o;
-    return x.s < y.s;
-  });
-  std::sort(osp_.begin(), osp_.end(), [&](uint32_t a, uint32_t b) {
-    const Triple& x = triples_[a];
-    const Triple& y = triples_[b];
-    if (x.o != y.o) return x.o < y.o;
-    if (x.s != y.s) return x.s < y.s;
-    return x.p < y.p;
-  });
-  indexes_valid_ = true;
+std::span<const Triple> TripleStore::Slice(const TriplePattern& pat) const {
+  Flush();
+  if (pat.s && pat.o && !pat.p) return PrefixSlice<Osp>(osp_, pat);
+  if (pat.s) return PrefixSlice<Spo>(spo_, pat);
+  if (pat.p) return PrefixSlice<Pos>(pos_, pat);
+  if (pat.o) return PrefixSlice<Osp>(osp_, pat);
+  return spo_;
 }
 
 std::vector<Triple> TripleStore::Match(const TriplePattern& pat) const {
-  EnsureIndexes();
-  std::vector<Triple> out;
-  auto matches = [&](const Triple& t) {
-    return (!pat.s || *pat.s == t.s) && (!pat.p || *pat.p == t.p) &&
-           (!pat.o || *pat.o == t.o);
-  };
-  if (pat.s) {
-    // triples_ sorted SPO; binary search S range.
-    auto lo = std::lower_bound(
-        triples_.begin(), triples_.end(), *pat.s,
-        [](const Triple& t, TermId s) { return t.s < s; });
-    for (auto it = lo; it != triples_.end() && it->s == *pat.s; ++it) {
-      if (matches(*it)) out.push_back(*it);
-    }
-    return out;
-  }
-  if (pat.p) {
-    auto lo = std::lower_bound(
-        pos_.begin(), pos_.end(), *pat.p,
-        [&](uint32_t idx, TermId p) { return triples_[idx].p < p; });
-    for (auto it = lo; it != pos_.end() && triples_[*it].p == *pat.p; ++it) {
-      if (matches(triples_[*it])) out.push_back(triples_[*it]);
-    }
-    return out;
-  }
-  if (pat.o) {
-    auto lo = std::lower_bound(
-        osp_.begin(), osp_.end(), *pat.o,
-        [&](uint32_t idx, TermId o) { return triples_[idx].o < o; });
-    for (auto it = lo; it != osp_.end() && triples_[*it].o == *pat.o; ++it) {
-      if (matches(triples_[*it])) out.push_back(triples_[*it]);
-    }
-    return out;
-  }
-  return triples_;  // full scan (already deduplicated)
+  std::span<const Triple> slice = Slice(pat);
+  return {slice.begin(), slice.end()};
 }
 
 std::vector<Triple> TripleStore::Match(const std::optional<Term>& s,
@@ -124,21 +181,37 @@ std::vector<Triple> TripleStore::Match(const std::optional<Term>& s,
 }
 
 size_t TripleStore::Remove(const TriplePattern& pat) {
-  auto matches = [&](const Triple& t) {
-    return (!pat.s || *pat.s == t.s) && (!pat.p || *pat.p == t.p) &&
-           (!pat.o || *pat.o == t.o);
-  };
-  size_t before = triples_.size();
-  triples_.erase(std::remove_if(triples_.begin(), triples_.end(), matches),
-                 triples_.end());
-  indexes_valid_ = false;
-  return before - triples_.size();
+  return RemoveAll(Match(pat));
+}
+
+size_t TripleStore::RemoveAll(std::vector<Triple> triples) {
+  Flush();
+  if (triples.empty()) return 0;
+  size_t before = spo_.size();
+  std::sort(triples.begin(), triples.end(), ByKey<Spo>());
+  EraseSorted(&spo_, triples, ByKey<Spo>());
+  if (spo_.size() == before) return 0;  // none of them was stored
+  std::sort(triples.begin(), triples.end(), ByKey<Pos>());
+  EraseSorted(&pos_, triples, ByKey<Pos>());
+  std::sort(triples.begin(), triples.end(), ByKey<Osp>());
+  EraseSorted(&osp_, triples, ByKey<Osp>());
+  return before - spo_.size();
+}
+
+size_t TripleStore::size() const {
+  Flush();
+  return spo_.size();
+}
+
+const std::vector<Triple>& TripleStore::triples() const {
+  Flush();
+  return spo_;
 }
 
 size_t TripleStore::MemoryUsage() const {
-  return dict_.MemoryUsage() + triples_.capacity() * sizeof(Triple) +
-         (spo_.capacity() + pos_.capacity() + osp_.capacity()) *
-             sizeof(uint32_t);
+  return dict_.MemoryUsage() + (staged_.capacity() + spo_.capacity() +
+                                pos_.capacity() + osp_.capacity()) *
+                                   sizeof(Triple);
 }
 
 }  // namespace teleios::rdf

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/status.h"
@@ -28,9 +29,12 @@ struct TriplePattern {
   std::optional<TermId> o;
 };
 
-/// Dictionary-encoded triple store with SPO/POS/OSP sorted permutation
-/// indexes (built lazily, invalidated on write) — the Strabon storage
-/// scheme over a column store.
+/// Dictionary-encoded triple store — the Strabon storage scheme over a
+/// column store. The triples are held three times, as sorted,
+/// deduplicated SPO, POS and OSP runs, and the runs stay live across
+/// writes: added triples are staged and the whole batch is folded into
+/// each run by one sort of the batch plus one linear merge, before the
+/// next read; RemoveAll drops a batch in one pass per run.
 class TripleStore {
  public:
   TermDictionary& dict() { return dict_; }
@@ -43,7 +47,17 @@ class TripleStore {
   /// Removes all triples matching the pattern; returns the count.
   size_t Remove(const TriplePattern& pattern);
 
-  /// All triples matching the pattern, using the best index.
+  /// Removes every listed triple that is stored (the list may repeat or
+  /// name absent triples); returns how many were removed.
+  size_t RemoveAll(std::vector<Triple> triples);
+
+  /// All triples matching the pattern, as a view of the run whose order
+  /// puts every bound position in the key prefix: SPO order for (s),
+  /// (s,p), (s,p,o) and the full scan, POS for (p), (p,o), OSP for (o),
+  /// (s,o). The view is valid until the next write.
+  std::span<const Triple> Slice(const TriplePattern& pattern) const;
+
+  /// A copy of Slice(pattern).
   std::vector<Triple> Match(const TriplePattern& pattern) const;
 
   /// Convenience: match with Terms (unknown terms match nothing).
@@ -51,22 +65,25 @@ class TripleStore {
                             const std::optional<Term>& p,
                             const std::optional<Term>& o) const;
 
-  size_t size() const { return triples_.size(); }
-  const std::vector<Triple>& triples() const { return triples_; }
+  /// Distinct triples stored.
+  size_t size() const;
+  /// All triples in SPO order.
+  const std::vector<Triple>& triples() const;
 
   size_t MemoryUsage() const;
 
  private:
-  void EnsureIndexes() const;
+  /// Folds the staged additions into the three runs.
+  void Flush() const;
 
   TermDictionary dict_;
-  std::vector<Triple> triples_;
 
-  // Lazily built sorted permutations (indices into triples_).
-  mutable bool indexes_valid_ = false;
-  mutable std::vector<uint32_t> spo_;
-  mutable std::vector<uint32_t> pos_;
-  mutable std::vector<uint32_t> osp_;
+  // Added but not yet merged (unsorted, may hold duplicates); merged
+  // before any read, so reads stay const.
+  mutable std::vector<Triple> staged_;
+  mutable std::vector<Triple> spo_;
+  mutable std::vector<Triple> pos_;
+  mutable std::vector<Triple> osp_;
 };
 
 }  // namespace teleios::rdf

@@ -136,6 +136,24 @@ Result<SolutionSet> SparqlEvaluator::EvalBasicGraphPattern(
            (t.o.is_var && bound_vars.count(t.o.var));
   };
 
+  // The variable of a pattern with two ground terms, or nullptr.
+  auto lone_var = [](const TriplePatternAst& t) -> const std::string* {
+    if (t.s.is_var + t.p.is_var + t.o.is_var != 1) return nullptr;
+    return t.s.is_var ? &t.s.var : t.p.is_var ? &t.p.var : &t.o.var;
+  };
+  // How many triples a pattern's ground terms alone select.
+  auto range_size = [&](const TriplePatternAst& t) -> size_t {
+    TriplePattern query;
+    for (auto [node, slot] : {std::pair{&t.s, &query.s}, {&t.p, &query.p},
+                              {&t.o, &query.o}}) {
+      if (node->is_var) continue;
+      TermId id = store_->dict().Lookup(node->term);
+      if (id == kNoTerm) return 0;
+      *slot = id;
+    }
+    return store_->Slice(query).size();
+  };
+
   while (!remaining.empty()) {
     // Pick the best pattern.
     size_t best = 0;
@@ -146,6 +164,24 @@ Result<SolutionSet> SparqlEvaluator::EvalBasicGraphPattern(
       if (score > best_score) {
         best_score = score;
         best = i;
+      }
+    }
+    // A tie among patterns with two ground terms and the same unbound
+    // variable: each selects one index range sorted by that variable, and
+    // the rest filter it by lookups, so the rows and their order are the
+    // same whichever goes first. Start from the smallest range (`?h
+    // noa:derivedFromProduct <P>`, not every `?h a noa:Hotspot`).
+    const std::string* var = lone_var(*remaining[best]);
+    if (var != nullptr && !bound_vars.count(*var)) {
+      size_t best_size = range_size(*remaining[best]);
+      for (size_t i = best + 1; i < remaining.size() && best_size > 0; ++i) {
+        const std::string* other = lone_var(*remaining[i]);
+        if (other == nullptr || *other != *var) continue;
+        size_t size = range_size(*remaining[i]);
+        if (size < best_size) {
+          best_size = size;
+          best = i;
+        }
       }
     }
     const TriplePatternAst& pat = *remaining[best];
@@ -197,7 +233,7 @@ Result<SolutionSet> SparqlEvaluator::EvalBasicGraphPattern(
         if (go) query.o = *go;
         else if (row[oi] != kNoTerm) query.o = row[oi];
 
-        for (const rdf::Triple& t : store_->Match(query)) {
+        for (const rdf::Triple& t : store_->Slice(query)) {
           // Repeated-variable consistency (e.g. ?x ?p ?x).
           if (si >= 0 && pi >= 0 && pat.s.var == pat.p.var && t.s != t.p) {
             continue;

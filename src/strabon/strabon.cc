@@ -18,7 +18,6 @@ using rdf::TermId;
 using rdf::Triple;
 
 Result<size_t> Strabon::LoadTurtle(const std::string& text) {
-  rtree_valid_ = false;
   return rdf::ParseTurtle(text, &store_);
 }
 
@@ -30,37 +29,36 @@ Result<size_t> Strabon::LoadTurtleFile(const std::string& path) {
 
 void Strabon::Add(const Term& s, const Term& p, const Term& o) {
   store_.Add(s, p, o);
-  rtree_valid_ = false;
   static auto* added = obs::MetricsRegistry::Global().GetCounter(
       "teleios_strabon_triples_added_total");
   added->Inc();
 }
 
 void Strabon::EnsureSpatialIndex() {
-  if (rtree_valid_ &&
-      rtree_built_at_size_ == static_cast<size_t>(store_.dict().size())) {
-    return;
-  }
-  obs::TraceSpan span("rtree.build",
-                      obs::MetricsRegistry::Global().GetHistogram(
-                          "teleios_strabon_index_build_millis"));
-  obs::Count("teleios_strabon_index_builds_total");
+  TermId n = store_.dict().size();
+  if (indexed_terms_ == n) return;
   std::vector<geo::RTree::Entry> entries;
-  int32_t n = store_.dict().size();
-  for (int32_t id = 0; id < n; ++id) {
+  for (TermId id = indexed_terms_; id < n; ++id) {
     const Term& t = store_.dict().At(id);
     if (!t.IsWkt()) continue;
     auto g = cache_.Get(t);
     if (!g.ok()) continue;  // malformed WKT literals are simply not indexed
     entries.push_back({(*g)->GetEnvelope(), id});
   }
-  indexed_count_ = entries.size();
+  indexed_terms_ = n;
+  if (entries.empty()) return;
+  if (rtree_.size() == 0) {
+    obs::TraceSpan span("rtree.build",
+                        obs::MetricsRegistry::Global().GetHistogram(
+                            "teleios_strabon_index_build_millis"));
+    obs::Count("teleios_strabon_index_builds_total");
+    rtree_.BulkLoad(std::move(entries));
+  } else {
+    obs::Count("teleios_strabon_index_inserts_total", entries.size());
+    for (const geo::RTree::Entry& e : entries) rtree_.Insert(e.box, e.id);
+  }
   obs::SetGauge("teleios_strabon_indexed_geometries",
-                static_cast<double>(indexed_count_));
-  rtree_ = geo::RTree();
-  rtree_.BulkLoad(std::move(entries));
-  rtree_valid_ = true;
-  rtree_built_at_size_ = static_cast<size_t>(n);
+                static_cast<double>(rtree_.size()));
 }
 
 namespace {
@@ -497,7 +495,6 @@ bool Instantiate(const TriplePatternAst& tmpl, const SolutionSet& solutions,
 }  // namespace
 
 Result<size_t> Strabon::RunUpdate(const SparqlUpdate& update) {
-  rtree_valid_ = false;
   size_t affected = 0;
   switch (update.kind) {
     case SparqlUpdate::Kind::kInsertData: {
@@ -512,22 +509,19 @@ Result<size_t> Strabon::RunUpdate(const SparqlUpdate& update) {
       return affected;
     }
     case SparqlUpdate::Kind::kDeleteData: {
+      std::vector<Triple> to_delete;
       for (const TriplePatternAst& t : update.delete_templates) {
         if (t.s.is_var || t.p.is_var || t.o.is_var) {
           return Status::InvalidArgument(
               "DELETE DATA requires ground triples");
         }
-        rdf::TriplePattern pat;
         TermId s = store_.dict().Lookup(t.s.term);
         TermId p = store_.dict().Lookup(t.p.term);
         TermId o = store_.dict().Lookup(t.o.term);
         if (s == kNoTerm || p == kNoTerm || o == kNoTerm) continue;
-        pat.s = s;
-        pat.p = p;
-        pat.o = o;
-        affected += store_.Remove(pat);
+        to_delete.push_back({s, p, o});
       }
-      return affected;
+      return store_.RemoveAll(std::move(to_delete));
     }
     case SparqlUpdate::Kind::kModify:
     case SparqlUpdate::Kind::kDeleteWhere: {
@@ -553,13 +547,7 @@ Result<size_t> Strabon::RunUpdate(const SparqlUpdate& update) {
           }
         }
       }
-      for (const Triple& t : to_delete) {
-        rdf::TriplePattern pat;
-        pat.s = t.s;
-        pat.p = t.p;
-        pat.o = t.o;
-        affected += store_.Remove(pat);
-      }
+      affected += store_.RemoveAll(std::move(to_delete));
       for (const Triple& t : to_insert) {
         store_.AddEncoded(t);
         ++affected;

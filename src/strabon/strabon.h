@@ -53,7 +53,7 @@ class Strabon {
   bool spatial_index_enabled() const { return spatial_index_enabled_; }
 
   /// Number of geometry literals currently indexed.
-  size_t indexed_geometries() const { return indexed_count_; }
+  size_t indexed_geometries() const { return rtree_.size(); }
 
   size_t size() const { return store_.size(); }
 
@@ -72,16 +72,19 @@ class Strabon {
   /// true answer).
   Result<CandidateSets> SpatialCandidates(const GroupPattern& where);
 
+  /// Brings the R-tree up to date with the dictionary: bulk-loads the
+  /// first geometries, then inserts only those of terms interned since.
   void EnsureSpatialIndex();
 
   rdf::TripleStore store_;
   GeometryCache cache_;
   bool spatial_index_enabled_ = true;
 
+  // The R-tree covers the WKT terms among dictionary ids below
+  // `indexed_terms_`. The dictionary only grows, so the index never goes
+  // stale: it only falls behind, and catches up by insertion.
   geo::RTree rtree_;
-  bool rtree_valid_ = false;
-  size_t rtree_built_at_size_ = 0;
-  size_t indexed_count_ = 0;
+  rdf::TermId indexed_terms_ = 0;
 };
 
 }  // namespace teleios::strabon

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <tuple>
+
 #include "rdf/dictionary.h"
 #include "rdf/term.h"
 #include "rdf/triple_store.h"
@@ -100,6 +104,36 @@ TEST_F(TripleStoreTest, Remove) {
   EXPECT_EQ(store_.Match(TriplePattern{}).size(), 2u);
 }
 
+TEST_F(TripleStoreTest, RemoveAllCountsStoredTriplesOnce) {
+  TermId s1 = store_.dict().Lookup(Iri("s1"));
+  TermId type = store_.dict().Lookup(Iri("type"));
+  TermId hotspot = store_.dict().Lookup(Iri("Hotspot"));
+  TermId town = store_.dict().Lookup(Iri("Town"));
+  // Listed twice, and one triple that was never stored.
+  size_t removed = store_.RemoveAll(
+      {{s1, type, hotspot}, {s1, type, town}, {s1, type, hotspot}});
+  EXPECT_EQ(removed, 1u);
+  EXPECT_EQ(store_.size(), 4u);
+  EXPECT_TRUE(store_.Match(Iri("s1"), Iri("type"), std::nullopt).empty());
+  EXPECT_EQ(store_.Match(std::nullopt, std::nullopt, Iri("Hotspot")).size(),
+            1u);
+}
+
+TEST(TripleStoreSizeTest, DuplicatesAreNotCountedBeforeARead) {
+  TripleStore store;
+  ASSERT_TRUE(ParseTurtle("<http://x/a> <http://x/p> <http://x/b> .\n"
+                          "<http://x/a> <http://x/p> <http://x/b> .\n",
+                          &store)
+                  .ok());
+  // size() and triples() come first: no Match has run yet.
+  EXPECT_EQ(store.size(), 1u);
+  EXPECT_EQ(store.triples().size(), 1u);
+  store.Add(Term::Iri("http://x/a"), Term::Iri("http://x/p"),
+            Term::Iri("http://x/b"));
+  EXPECT_EQ(store.size(), 1u);
+  EXPECT_EQ(store.Match(TriplePattern{}).size(), 1u);
+}
+
 TEST(TurtleTest, ParsePrefixesAndLists) {
   TripleStore store;
   auto added = ParseTurtle(R"(
@@ -186,37 +220,68 @@ TEST(TurtleTest, BaseResolution) {
   EXPECT_EQ(store.dict().At(triples[0].o).lexical, "http://abs.org/c");
 }
 
-/// Index-correctness sweep: Match equals a brute-force scan for every
-/// pattern shape over a generated store.
+/// Index-correctness sweep: over a store built by interleaved Add and
+/// Remove batches, Match equals a scan of a reference set for all 8
+/// pattern shapes, in the order of the run that serves the shape.
 class MatchSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(MatchSweep, MatchesEqualScan) {
   int n = GetParam();
   TripleStore store;
-  for (int i = 0; i < n; ++i) {
-    store.Add(Term::Iri("http://x/s" + std::to_string(i % 7)),
-              Term::Iri("http://x/p" + std::to_string(i % 3)),
-              Term::IntegerLiteral(i % 5));
+  std::set<std::tuple<TermId, TermId, TermId>> reference;  // SPO order
+  auto add = [&](int i) {
+    Term s = Term::Iri("http://x/s" + std::to_string(i % 7));
+    Term p = Term::Iri("http://x/p" + std::to_string(i % 3));
+    Term o = Term::IntegerLiteral(i % 5);
+    store.Add(s, p, o);
+    reference.insert({store.dict().Lookup(s), store.dict().Lookup(p),
+                      store.dict().Lookup(o)});
+  };
+  // Batches of adds, each followed by removing every third reference
+  // triple (plus one never stored) in one RemoveAll.
+  for (int begin = 0; begin < n; begin += 37) {
+    for (int i = begin; i < std::min(n, begin + 37); ++i) add(i * 11 + begin);
+    std::vector<Triple> doomed = {{0, 0, 12345}};
+    size_t k = 0;
+    for (auto it = reference.begin(); it != reference.end(); ++k) {
+      if (k % 3 != 0) {
+        ++it;
+        continue;
+      }
+      doomed.push_back({std::get<0>(*it), std::get<1>(*it), std::get<2>(*it)});
+      it = reference.erase(it);
+    }
+    EXPECT_EQ(store.RemoveAll(doomed), doomed.size() - 1);
   }
-  auto all = store.Match(TriplePattern{});
+  ASSERT_EQ(store.size(), reference.size());
+  if (n == 0) return;
   TermId s = store.dict().Lookup(Term::Iri("http://x/s1"));
   TermId p = store.dict().Lookup(Term::Iri("http://x/p2"));
   TermId o = store.dict().Lookup(Term::IntegerLiteral(3));
+  const std::optional<TermId> none;
   const TriplePattern patterns[] = {
-      {s, std::nullopt, std::nullopt}, {std::nullopt, p, std::nullopt},
-      {std::nullopt, std::nullopt, o}, {s, p, std::nullopt},
-      {std::nullopt, p, o},            {s, p, o}};
+      {none, none, none}, {s, none, none}, {none, p, none}, {none, none, o},
+      {s, p, none},       {none, p, o},    {s, none, o},    {s, p, o}};
   for (const TriplePattern& pattern : patterns) {
-    if (n == 0) continue;
-    size_t expected = 0;
-    for (const Triple& t : all) {
-      if ((!pattern.s || *pattern.s == t.s) &&
-          (!pattern.p || *pattern.p == t.p) &&
-          (!pattern.o || *pattern.o == t.o)) {
-        ++expected;
+    std::vector<Triple> expected;
+    for (const auto& [ts, tp, to] : reference) {
+      if ((!pattern.s || *pattern.s == ts) &&
+          (!pattern.p || *pattern.p == tp) &&
+          (!pattern.o || *pattern.o == to)) {
+        expected.push_back({ts, tp, to});
       }
     }
-    EXPECT_EQ(store.Match(pattern).size(), expected);
+    // Shapes served by POS come in (p,o,s) order, by OSP in (o,s,p).
+    auto key = [&](const Triple& t) {
+      if (!pattern.s && pattern.p) return std::tuple(t.p, t.o, t.s);
+      if (pattern.o && !pattern.p) return std::tuple(t.o, t.s, t.p);
+      return std::tuple(t.s, t.p, t.o);
+    };
+    std::sort(expected.begin(), expected.end(),
+              [&](const Triple& a, const Triple& b) { return key(a) < key(b); });
+    EXPECT_EQ(store.Match(pattern), expected)
+        << "s=" << pattern.s.has_value() << " p=" << pattern.p.has_value()
+        << " o=" << pattern.o.has_value();
   }
 }
 

@@ -129,6 +129,29 @@ TEST(RTreeTest, MoveSemantics) {
   EXPECT_EQ(b.Query({0, 0, 2, 2}).size(), 1u);
 }
 
+TEST(RTreeTest, BulkLoadThenInsertsKeepInvariants) {
+  auto base = MakeBoxes(1000, 5);
+  RTree tree;
+  tree.BulkLoad(base);
+  ASSERT_TRUE(tree.Validate().ok()) << tree.Validate().ToString();
+  auto extra = MakeBoxes(5000, 19);
+  std::vector<RTree::Entry> all = base;
+  for (auto& e : extra) {
+    e.id += 10000;
+    tree.Insert(e.box, e.id);
+    all.push_back(e);
+  }
+  EXPECT_EQ(tree.size(), 6000u);
+  Status valid = tree.Validate();
+  EXPECT_TRUE(valid.ok()) << valid.ToString();
+  for (double q0 : {0.0, 40.0, 80.0}) {
+    Envelope q{q0, q0, q0 + 20, q0 + 20};
+    auto hits = tree.Query(q);
+    std::sort(hits.begin(), hits.end());
+    EXPECT_EQ(hits, BruteForce(all, q));
+  }
+}
+
 /// Property sweep over sizes and fanouts: tree results always equal brute
 /// force on a fixed query battery.
 class RTreeSweep
@@ -151,6 +174,10 @@ TEST_P(RTreeSweep, EquivalentToBruteForce) {
     EXPECT_EQ(from_bulk, expected);
     EXPECT_EQ(from_incr, expected);
   }
+  Status bulk_valid = bulk.Validate();
+  Status incr_valid = incremental.Validate();
+  EXPECT_TRUE(bulk_valid.ok()) << bulk_valid.ToString();
+  EXPECT_TRUE(incr_valid.ok()) << incr_valid.ToString();
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+
 #include "common/strings.h"
+#include "obs/metrics.h"
 #include "strabon/spatial_functions.h"
 #include "strabon/strabon.h"
 #include "strabon/temporal.h"
@@ -278,14 +282,29 @@ TEST_F(StSparqlTest, SpatialIndexSeesPostUpdateGeometries) {
       "FILTER(strdf:within(?g, " + window + ")) }";
   // Warm the index: nothing in the window yet.
   EXPECT_EQ(Count(query), 0u);
-  // Insert a new hotspot inside the window; the R-tree must be
-  // invalidated and rebuilt, not serve stale candidates.
+  auto& metrics = obs::MetricsRegistry::Global();
+  uint64_t builds =
+      metrics.GetCounter("teleios_strabon_index_builds_total")->value();
+  uint64_t inserts =
+      metrics.GetCounter("teleios_strabon_index_inserts_total")->value();
+  size_t indexed = strabon_.indexed_geometries();
+  // Insert a new hotspot inside the window; the R-tree must catch up
+  // with it, not serve stale candidates.
   ASSERT_TRUE(strabon_
                   .Update("INSERT DATA { noa:h4 a noa:Hotspot ; "
                           "noa:hasGeometry \"POLYGON ((44 44, 45 44, 45 "
                           "45, 44 45, 44 44))\"^^strdf:WKT }")
                   .ok());
   EXPECT_EQ(Count(query), 1u);
+  // It caught up by one insertion, not by a rebuild.
+  EXPECT_EQ(metrics.GetCounter("teleios_strabon_index_builds_total")->value(),
+            builds);
+  EXPECT_EQ(
+      metrics.GetCounter("teleios_strabon_index_inserts_total")->value(),
+      inserts + 1);
+  EXPECT_EQ(strabon_.indexed_geometries(), indexed + 1);
+  EXPECT_EQ(metrics.GetGauge("teleios_strabon_indexed_geometries")->value(),
+            static_cast<double>(indexed + 1));
 }
 
 TEST_F(StSparqlTest, GeometryUpdateViaDifference) {
@@ -310,6 +329,195 @@ TEST_F(StSparqlTest, GeometryUpdateViaDifference) {
   auto geom = cache.Get(strabon_.store().dict().At(r->rows[0][0]));
   ASSERT_TRUE(geom.ok());
   EXPECT_NEAR((*geom)->Area(), 0.5, 1e-6);
+}
+
+/// Rows rendered as N-Triples, in the solution order.
+std::vector<std::string> RenderRows(const Strabon& strabon,
+                                    const SolutionSet& solutions) {
+  std::vector<std::string> rows;
+  for (const auto& row : solutions.rows) {
+    std::string line;
+    for (rdf::TermId id : row) {
+      line += (id == rdf::kNoTerm ? std::string("UNBOUND")
+                                  : strabon.store().dict().At(id).ToNTriples()) +
+              " ";
+    }
+    rows.push_back(std::move(line));
+  }
+  return rows;
+}
+
+/// A BGP whose patterns with two ground terms share one unbound variable
+/// starts from the smallest index range. Whatever order the patterns are
+/// written in, the rows and their order are the same.
+TEST(BgpOrderTest, SameVariableRangesGiveTheSameRowsInAnyOrder) {
+  Strabon strabon;
+  std::string turtle = "@prefix ex: <http://example.org/> .\n";
+  for (int i = 0; i < 300; ++i) {
+    turtle += StrFormat("ex:x%d a ex:%s ; ex:in ex:g%d ; ex:v %d .\n", i,
+                        i % 3 == 0 ? "D" : "C", i % 50, i);
+  }
+  turtle += "ex:g7 ex:has ex:x7 , ex:x57 , ex:x157 , ex:x158 .\n";
+  ASSERT_TRUE(strabon.LoadTurtle(turtle).ok());
+
+  const std::string prefix = "PREFIX ex: <http://example.org/> ";
+  for (const char* absent : {"", "?x ex:in ex:nowhere"}) {
+    std::vector<std::string> patterns = {"?x a ex:C", "?x ex:in ex:g7",
+                                         "ex:g7 ex:has ?x", "?x ex:v ?v"};
+    if (*absent != '\0') patterns.push_back(absent);
+    std::sort(patterns.begin(), patterns.end());
+    std::vector<std::string> first;
+    int orders = 0;
+    do {
+      std::string where;
+      for (const std::string& p : patterns) where += p + " . ";
+      auto rows = strabon.Select(prefix + "SELECT ?x ?v WHERE { " + where + "}");
+      ASSERT_TRUE(rows.ok()) << where;
+      std::vector<std::string> rendered = RenderRows(strabon, *rows);
+      if (orders++ == 0) first = rendered;
+      EXPECT_EQ(rendered, first) << where;
+    } while (std::next_permutation(patterns.begin(), patterns.end()));
+    if (*absent != '\0') {
+      EXPECT_TRUE(first.empty());
+    } else {
+      // x7 and x157 are in g7, listed by g7 and of class C (x57 is a D).
+      ASSERT_EQ(first.size(), 2u);
+      EXPECT_EQ(first[0].rfind("<http://example.org/x7> ", 0), 0u) << first[0];
+      EXPECT_EQ(first[1].rfind("<http://example.org/x157> ", 0), 0u) << first[1];
+    }
+  }
+}
+
+/// Differential check of the live indexes: a seeded stream of INSERT
+/// DATA, DELETE DATA, DELETE-WHERE and Turtle loads, each followed by
+/// spatial windows and distance selections. Every answer must equal the
+/// same store's with the R-tree off, rows in the same order, and a fresh
+/// store's loaded from ToTurtle() (as a multiset: a reload renumbers the
+/// terms, which reorders rows).
+TEST(LiveIndexDifferentialTest, UpdateStreamMatchesScanAndReload) {
+  const std::string prefix =
+      "PREFIX ex: <http://example.org/> "
+      "PREFIX strdf: <http://strdf.di.uoa.gr/ontology#> ";
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    uint64_t state = seed * 0x9e3779b97f4a7c15ull;
+    auto uniform = [&]() {
+      state ^= state >> 12;
+      state ^= state << 25;
+      state ^= state >> 27;
+      return static_cast<double>((state * 0x2545f4914f6cdd1dull) >> 11) /
+             9007199254740992.0;
+    };
+    auto pick = [&](int n) {
+      return static_cast<int>(uniform() * n) % n;
+    };
+    auto wkt = [&]() {
+      double x = uniform() * 100;
+      double y = uniform() * 100;
+      if (pick(2) == 0) return StrFormat("POINT (%.3f %.3f)", x, y);
+      double d = 0.5 + uniform() * 3;
+      return StrFormat(
+          "POLYGON ((%.3f %.3f, %.3f %.3f, %.3f %.3f, %.3f %.3f, %.3f %.3f))",
+          x, y, x + d, y, x + d, y + d, x, y + d, x, y);
+    };
+    auto window = [&]() {
+      double x = uniform() * 90;
+      double y = uniform() * 90;
+      double d = 2 + uniform() * 20;
+      return StrFormat(
+          "\"POLYGON ((%.3f %.3f, %.3f %.3f, %.3f %.3f, %.3f %.3f, %.3f "
+          "%.3f))\"^^strdf:WKT",
+          x, y, x + d, y, x + d, y + d, x, y + d, x, y);
+    };
+    // Ground triples of every feature ever written, by number.
+    std::map<int, std::string> features;
+    int next_feature = 0;
+    auto feature = [&]() {
+      int k = next_feature++;
+      std::string text = StrFormat(
+          "ex:f%d a ex:%s ; ex:name \"f%d\" ; ex:geo \"%s\"^^strdf:WKT . ",
+          k, pick(2) == 0 ? "Site" : "Town", k, wkt().c_str());
+      features[k] = text;
+      return text;
+    };
+
+    Strabon live;
+    size_t rows_seen = 0;
+    for (int step = 0; step < 40; ++step) {
+      std::string update;
+      switch (pick(5)) {
+        case 0:
+        case 1:
+          update = "INSERT DATA { " + feature() + feature() + "}";
+          break;
+        case 2: {
+          // Re-states an existing feature half the time (a no-op
+          // delete when an earlier update already removed it).
+          int k = next_feature == 0 ? 0 : pick(next_feature);
+          update = "DELETE DATA { " +
+                   (features.count(k) ? features[k] : feature()) + "}";
+          break;
+        }
+        case 3:
+          update = pick(2) == 0
+                       ? "DELETE { ?f ?p ?o } WHERE { ?f a ex:Town ; "
+                         "ex:geo ?g ; ?p ?o . FILTER(strdf:intersects(?g, " +
+                             window() + ")) }"
+                       : StrFormat("DELETE WHERE { ?f ex:name \"f%d\" ; "
+                                   "?p ?o . }",
+                                   next_feature == 0 ? 0
+                                                     : pick(next_feature));
+          break;
+        default: {
+          std::string turtle =
+              "@prefix ex: <http://example.org/> .\n"
+              "@prefix strdf: <http://strdf.di.uoa.gr/ontology#> .\n";
+          for (int i = 0; i < 20; ++i) turtle += feature() + "\n";
+          // Load the last feature twice: duplicates must not count.
+          turtle += features[next_feature - 1] + "\n";
+          ASSERT_TRUE(live.LoadTurtle(turtle).ok());
+          break;
+        }
+      }
+      if (!update.empty()) {
+        auto n = live.Update(prefix + update);
+        ASSERT_TRUE(n.ok()) << update << " -> " << n.status().ToString();
+      }
+
+      Strabon reloaded;
+      ASSERT_TRUE(reloaded.LoadTurtle(live.ToTurtle()).ok());
+      ASSERT_EQ(reloaded.size(), live.size()) << "seed " << seed;
+      auto point = StrFormat("\"POINT (%.3f %.3f)\"^^strdf:WKT",
+                             uniform() * 100, uniform() * 100);
+      const std::string queries[] = {
+          "SELECT ?f ?g WHERE { ?f ex:geo ?g . FILTER(strdf:intersects(?g, " +
+              window() + ")) }",
+          "SELECT ?f WHERE { ?f a ex:Town ; ex:geo ?g . "
+          "FILTER(strdf:intersects(?g, " + window() + ")) }",
+          "SELECT ?f ?n WHERE { ?f ex:geo ?g ; ex:name ?n . "
+          "FILTER(strdf:distance(?g, " + point + ") < " +
+              StrFormat("%.2f", 3 + uniform() * 10) + ") }"};
+      for (const std::string& q : queries) {
+        live.set_spatial_index_enabled(true);
+        auto indexed = live.Select(prefix + q);
+        live.set_spatial_index_enabled(false);
+        auto scanned = live.Select(prefix + q);
+        live.set_spatial_index_enabled(true);
+        auto fresh = reloaded.Select(prefix + q);
+        ASSERT_TRUE(indexed.ok() && scanned.ok() && fresh.ok()) << q;
+        std::vector<std::string> rows = RenderRows(live, *indexed);
+        rows_seen += rows.size();
+        EXPECT_EQ(rows, RenderRows(live, *scanned))
+            << "seed " << seed << " step " << step << ": " << q;
+        std::vector<std::string> fresh_rows = RenderRows(reloaded, *fresh);
+        std::sort(rows.begin(), rows.end());
+        std::sort(fresh_rows.begin(), fresh_rows.end());
+        EXPECT_EQ(rows, fresh_rows)
+            << "seed " << seed << " step " << step << ": " << q;
+      }
+    }
+    EXPECT_GT(rows_seen, 40u) << "seed " << seed;
+    EXPECT_GT(live.indexed_geometries(), 0u);
+  }
 }
 
 }  // namespace
