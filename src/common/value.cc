@@ -106,7 +106,10 @@ int Value::Compare(const Value& other) const {
     }
     double x = ToDouble().value_or(0.0);
     double y = other.ToDouble().value_or(0.0);
-    return x < y ? -1 : (x > y ? 1 : 0);
+    if (x < y) return -1;
+    if (x > y) return 1;
+    // Equal, or unordered: NaN sorts after every number and equals NaN.
+    return static_cast<int>(std::isnan(x)) - static_cast<int>(std::isnan(y));
   }
   if (a == ValueType::kString && b == ValueType::kString) {
     return AsString().compare(other.AsString()) < 0

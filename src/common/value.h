@@ -67,8 +67,10 @@ class Value {
   /// Display form, "NULL" for null.
   std::string ToString() const;
 
-  /// SQL-style three-way comparison; null sorts first. Numeric types
-  /// compare numerically across int/float.
+  /// A total order for sorting: null sorts first. Numeric types compare
+  /// numerically across int/float, with NaN after every number and
+  /// equal to NaN. (SQL comparison operators on doubles follow IEEE
+  /// instead: NaN compares false against everything.)
   int Compare(const Value& other) const;
 
   bool operator==(const Value& other) const { return Compare(other) == 0; }

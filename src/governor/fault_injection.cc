@@ -6,26 +6,9 @@ namespace teleios::governor {
 
 Status FaultInjectingBudget::Reserve(size_t bytes) {
   if (bytes == 0) return Status::OK();
-  bool inject = false;
-  uint64_t index = 0;
-  {
-    MutexLock lock(fault_mu_);
-    index = ++reservations_;
-    if (armed_ && spec_.inject_at > 0) {
-      if (index == spec_.inject_at) {
-        inject = true;
-      } else if (spec_.every_n > 0 && index > spec_.inject_at &&
-                 (index - spec_.inject_at) % spec_.every_n == 0) {
-        inject = true;
-      }
-    }
-    if (inject) ++injected_;
-  }
-  if (inject) {
+  if (program_.Next() == FaultStep::kFire) {
     obs::Count("teleios_governor_oom_injected_total");
-    return Status::ResourceExhausted(
-        "injected allocation failure at reservation #" +
-        std::to_string(index));
+    return Status::ResourceExhausted("injected allocation failure");
   }
   // Pass-through: MemoryBudget::Reserve charges this node (unlimited)
   // and the wrapped base via the parent chain.

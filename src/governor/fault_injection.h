@@ -4,16 +4,16 @@
 #include <cstdint>
 #include <string>
 
-#include "common/thread_annotations.h"
+#include "common/fault_program.h"
 #include "governor/memory_budget.h"
 
 namespace teleios::governor {
 
-/// A deterministic OOM program, mirroring io::FaultSpec: the
-/// `inject_at`-th counted Reserve() after Arm() is refused with
-/// kResourceExhausted; with `every_n` > 0 the refusal also repeats every
-/// `every_n` reservations after that. Zero-byte reservations are not
-/// counted (they never allocate).
+/// A deterministic OOM program (run by a FaultProgram, like
+/// io::FaultSpec): the `inject_at`-th counted Reserve() after Arm() is
+/// refused with kResourceExhausted; with `every_n` > 0 the refusal also
+/// repeats every `every_n` reservations after that. Zero-byte
+/// reservations are not counted (they never allocate).
 struct BudgetFaultSpec {
   uint64_t inject_at = 1;  // 1-based reservation index; 0 disables
   uint64_t every_n = 0;
@@ -38,38 +38,19 @@ class FaultInjectingBudget : public MemoryBudget {
       : MemoryBudget("oom-injector", kUnlimited, base) {}
 
   /// Installs `spec` and resets the reservation counter.
-  void Arm(const BudgetFaultSpec& spec) {
-    MutexLock lock(fault_mu_);
-    spec_ = spec;
-    armed_ = true;
-    reservations_ = 0;
-    injected_ = 0;
-  }
+  void Arm(const BudgetFaultSpec& spec) { program_.Arm(spec); }
   /// Back to pass-through (the counter keeps its value).
-  void Disarm() {
-    MutexLock lock(fault_mu_);
-    armed_ = false;
-  }
+  void Disarm() { program_.Disarm(); }
 
   /// Reservations counted since the last Arm() (or construction).
-  uint64_t reservations() const {
-    MutexLock lock(fault_mu_);
-    return reservations_;
-  }
+  uint64_t reservations() const { return program_.ops(); }
   /// Refusals injected since the last Arm().
-  uint64_t injected() const {
-    MutexLock lock(fault_mu_);
-    return injected_;
-  }
+  uint64_t injected() const { return program_.faults(); }
 
   Status Reserve(size_t bytes) override;
 
  private:
-  mutable Mutex fault_mu_;
-  BudgetFaultSpec spec_ TELEIOS_GUARDED_BY(fault_mu_);
-  bool armed_ TELEIOS_GUARDED_BY(fault_mu_) = false;
-  uint64_t reservations_ TELEIOS_GUARDED_BY(fault_mu_) = 0;
-  uint64_t injected_ TELEIOS_GUARDED_BY(fault_mu_) = 0;
+  FaultProgram program_;
 };
 
 }  // namespace teleios::governor

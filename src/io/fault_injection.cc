@@ -4,105 +4,56 @@
 
 namespace teleios::io {
 
-const char* FaultKindName(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kIoError:
-      return "io_error";
-    case FaultKind::kShortWrite:
-      return "short_write";
-    case FaultKind::kEnospc:
-      return "enospc";
-    case FaultKind::kSyncFail:
-      return "sync_fail";
-    case FaultKind::kSyncDrop:
-      return "sync_drop";
-    case FaultKind::kBitFlip:
-      return "bit_flip";
-  }
-  return "unknown";
-}
-
 void FaultInjectingFileSystem::Arm(const FaultSpec& spec) {
-  MutexLock lock(mu_);
-  spec_ = spec;
-  armed_ = spec.inject_at > 0;
-  crashed_ = false;
-  ops_ = 0;
-  faults_ = 0;
-  bits_flipped_ = 0;
-  rng_ = spec.seed ? spec.seed : 1;
+  {
+    MutexLock lock(mu_);
+    spec_ = spec;
+    bits_flipped_ = 0;
+  }
+  program_.Arm(spec);
 }
 
-void FaultInjectingFileSystem::Disarm() {
-  MutexLock lock(mu_);
-  armed_ = false;
-  crashed_ = false;
-}
-
-uint64_t FaultInjectingFileSystem::NextRand() {
-  rng_ ^= rng_ >> 12;
-  rng_ ^= rng_ << 25;
-  rng_ ^= rng_ >> 27;
-  return rng_ * 0x2545f4914f6cdd1dull;
-}
+void FaultInjectingFileSystem::Disarm() { program_.Disarm(); }
 
 Status FaultInjectingFileSystem::InjectedError(const char* what) {
   return Status::IoError(std::string("injected fault: ") + what);
 }
 
 void FaultInjectingFileSystem::ApplyBitFlip(uint8_t* bytes, size_t len) {
+  bytes[program_.NextRandom() % len] ^=
+      static_cast<uint8_t>(1u << (program_.NextRandom() % 8));
   MutexLock lock(mu_);
-  bytes[NextRand() % len] ^= static_cast<uint8_t>(1u << (NextRand() % 8));
   ++bits_flipped_;
 }
 
-FaultInjectingFileSystem::FaultAction FaultInjectingFileSystem::NextOp(
-    OpClass op) {
-  MutexLock lock(mu_);
-  if (crashed_) return FaultAction::kFail;  // everything after the crash
-  // The counting mode applies to disabled (inject_at = 0) probe runs
-  // too, so a probed op count matches the armed sweep that follows.
-  if (spec_.reads_only && op != OpClass::kRead) {
-    return FaultAction::kNone;  // not counted in a reads-only sweep
+std::optional<FaultKind> FaultInjectingFileSystem::NextOp(OpClass op) {
+  FaultKind kind;
+  bool counted;
+  {
+    MutexLock lock(mu_);
+    kind = spec_.kind;
+    // The counting mode applies to disabled (inject_at = 0) probe runs
+    // too, so a probed op count matches the armed sweep that follows.
+    counted = !spec_.reads_only || op == OpClass::kRead;
   }
-  ++ops_;
-  if (!armed_) return FaultAction::kNone;
-  bool hit = ops_ == spec_.inject_at ||
-             (spec_.every_n > 0 && ops_ > spec_.inject_at &&
-              (ops_ - spec_.inject_at) % spec_.every_n == 0);
-  if (!hit) return FaultAction::kNone;
-  FaultAction action = FaultAction::kFail;
-  switch (spec_.kind) {
-    case FaultKind::kIoError:
-      action = FaultAction::kFail;
-      break;
-    case FaultKind::kShortWrite:
-      action = op == OpClass::kAppend ? FaultAction::kShortWrite
-                                      : FaultAction::kFail;
-      break;
-    case FaultKind::kEnospc:
-      action =
-          op == OpClass::kAppend ? FaultAction::kEnospc : FaultAction::kFail;
-      break;
-    case FaultKind::kSyncFail:
-      action = FaultAction::kFail;
-      break;
-    case FaultKind::kSyncDrop:
-      // Only a Sync can be silently dropped; elsewhere nothing happens.
-      action = op == OpClass::kSync ? FaultAction::kSyncDrop
-                                    : FaultAction::kNone;
-      break;
-    case FaultKind::kBitFlip:
-      // Flips only corrupt read payloads; other ops pass through.
-      action =
-          op == OpClass::kRead ? FaultAction::kBitFlip : FaultAction::kNone;
+  // Only a Sync can be silently dropped and only a read payload flipped;
+  // elsewhere those kinds do nothing.
+  bool applies = (kind != FaultKind::kSyncDrop || op == OpClass::kSync) &&
+                 (kind != FaultKind::kBitFlip || op == OpClass::kRead);
+  switch (program_.Next(counted, applies)) {
+    case FaultStep::kPass:
+      return std::nullopt;
+    case FaultStep::kAfterCrash:
+      return FaultKind::kIoError;  // everything after the crash fails
+    case FaultStep::kFire:
       break;
   }
-  if (action == FaultAction::kNone) return action;
-  ++faults_;
   obs::Count("teleios_io_faults_injected_total");
-  if (spec_.crash) crashed_ = true;
-  return action;
+  return kind;
+}
+
+Status FaultInjectingFileSystem::Gate(const char* what) {
+  return NextOp(OpClass::kOther) ? InjectedError(what) : Status::OK();
 }
 
 class FaultyWritableFile : public WritableFile {
@@ -111,10 +62,38 @@ class FaultyWritableFile : public WritableFile {
                      std::unique_ptr<WritableFile> base)
       : fs_(fs), base_(std::move(base)) {}
 
-  Status Append(const void* data, size_t n) override;
-  Status Flush() override;
-  Status Sync() override;
-  Status Close() override;
+  Status Append(const void* data, size_t n) override {
+    std::optional<FaultKind> fault =
+        fs_->NextOp(FaultInjectingFileSystem::OpClass::kOther);
+    if (!fault) return base_->Append(data, n);
+    if (fault == FaultKind::kShortWrite) {
+      // Torn write: half the bytes land before the error.
+      (void)base_->Append(data, n / 2);
+      return FaultInjectingFileSystem::InjectedError("torn write");
+    }
+    return FaultInjectingFileSystem::InjectedError(
+        fault == FaultKind::kEnospc ? "no space left on device"
+                                    : "write failed");
+  }
+
+  Status Flush() override {
+    TELEIOS_RETURN_IF_ERROR(fs_->Gate("flush failed"));
+    return base_->Flush();
+  }
+
+  Status Sync() override {
+    std::optional<FaultKind> fault =
+        fs_->NextOp(FaultInjectingFileSystem::OpClass::kSync);
+    if (!fault) return base_->Sync();
+    // A dropped sync pretends to be durable; it never fsyncs.
+    if (fault == FaultKind::kSyncDrop) return base_->Flush();
+    return FaultInjectingFileSystem::InjectedError("fsync failed");
+  }
+
+  Status Close() override {
+    TELEIOS_RETURN_IF_ERROR(fs_->Gate("close failed"));
+    return base_->Close();
+  }
 
  private:
   FaultInjectingFileSystem* fs_;
@@ -127,77 +106,27 @@ class FaultyReadableFile : public ReadableFile {
                      std::unique_ptr<ReadableFile> base)
       : fs_(fs), base_(std::move(base)) {}
 
-  Result<size_t> Read(void* buf, size_t n) override;
+  Result<size_t> Read(void* buf, size_t n) override {
+    std::optional<FaultKind> fault =
+        fs_->NextOp(FaultInjectingFileSystem::OpClass::kRead);
+    if (fault && fault != FaultKind::kBitFlip) {
+      return FaultInjectingFileSystem::InjectedError("read failed");
+    }
+    Result<size_t> got = base_->Read(buf, n);
+    if (fault && got.ok() && *got > 0) {
+      fs_->ApplyBitFlip(static_cast<uint8_t*>(buf), *got);
+    }
+    return got;
+  }
 
  private:
   FaultInjectingFileSystem* fs_;
   std::unique_ptr<ReadableFile> base_;
 };
 
-Status FaultyWritableFile::Append(const void* data, size_t n) {
-  switch (fs_->NextOp(FaultInjectingFileSystem::OpClass::kAppend)) {
-    case FaultInjectingFileSystem::FaultAction::kNone:
-      return base_->Append(data, n);
-    case FaultInjectingFileSystem::FaultAction::kShortWrite:
-      // Torn write: half the bytes land before the error.
-      (void)base_->Append(data, n / 2);
-      return FaultInjectingFileSystem::InjectedError("torn write");
-    case FaultInjectingFileSystem::FaultAction::kEnospc:
-      return FaultInjectingFileSystem::InjectedError(
-          "no space left on device");
-    default:
-      return FaultInjectingFileSystem::InjectedError("write failed");
-  }
-}
-
-Status FaultyWritableFile::Flush() {
-  if (fs_->NextOp(FaultInjectingFileSystem::OpClass::kOther) !=
-      FaultInjectingFileSystem::FaultAction::kNone) {
-    return FaultInjectingFileSystem::InjectedError("flush failed");
-  }
-  return base_->Flush();
-}
-
-Status FaultyWritableFile::Sync() {
-  switch (fs_->NextOp(FaultInjectingFileSystem::OpClass::kSync)) {
-    case FaultInjectingFileSystem::FaultAction::kNone:
-      return base_->Sync();
-    case FaultInjectingFileSystem::FaultAction::kSyncDrop:
-      return base_->Flush();  // pretends to be durable; never fsyncs
-    default:
-      return FaultInjectingFileSystem::InjectedError("fsync failed");
-  }
-}
-
-Status FaultyWritableFile::Close() {
-  if (fs_->NextOp(FaultInjectingFileSystem::OpClass::kOther) !=
-      FaultInjectingFileSystem::FaultAction::kNone) {
-    return FaultInjectingFileSystem::InjectedError("close failed");
-  }
-  return base_->Close();
-}
-
-Result<size_t> FaultyReadableFile::Read(void* buf, size_t n) {
-  switch (fs_->NextOp(FaultInjectingFileSystem::OpClass::kRead)) {
-    case FaultInjectingFileSystem::FaultAction::kNone:
-      return base_->Read(buf, n);
-    case FaultInjectingFileSystem::FaultAction::kBitFlip: {
-      Result<size_t> got = base_->Read(buf, n);
-      if (got.ok() && *got > 0) {
-        fs_->ApplyBitFlip(static_cast<uint8_t*>(buf), *got);
-      }
-      return got;
-    }
-    default:
-      return FaultInjectingFileSystem::InjectedError("read failed");
-  }
-}
-
 Result<std::unique_ptr<WritableFile>> FaultInjectingFileSystem::NewWritableFile(
     const std::string& path) {
-  if (NextOp(OpClass::kOther) != FaultAction::kNone) {
-    return InjectedError("cannot open for writing");
-  }
+  TELEIOS_RETURN_IF_ERROR(Gate("cannot open for writing"));
   TELEIOS_ASSIGN_OR_RETURN(std::unique_ptr<WritableFile> base,
                            base_->NewWritableFile(path));
   return std::unique_ptr<WritableFile>(
@@ -206,9 +135,7 @@ Result<std::unique_ptr<WritableFile>> FaultInjectingFileSystem::NewWritableFile(
 
 Result<std::unique_ptr<ReadableFile>> FaultInjectingFileSystem::NewReadableFile(
     const std::string& path) {
-  if (NextOp(OpClass::kOther) != FaultAction::kNone) {
-    return InjectedError("cannot open for reading");
-  }
+  TELEIOS_RETURN_IF_ERROR(Gate("cannot open for reading"));
   TELEIOS_ASSIGN_OR_RETURN(std::unique_ptr<ReadableFile> base,
                            base_->NewReadableFile(path));
   return std::unique_ptr<ReadableFile>(
@@ -217,49 +144,36 @@ Result<std::unique_ptr<ReadableFile>> FaultInjectingFileSystem::NewReadableFile(
 
 Status FaultInjectingFileSystem::Rename(const std::string& from,
                                         const std::string& to) {
-  if (NextOp(OpClass::kOther) != FaultAction::kNone) {
-    return InjectedError("rename failed");
-  }
+  TELEIOS_RETURN_IF_ERROR(Gate("rename failed"));
   return base_->Rename(from, to);
 }
 
 Status FaultInjectingFileSystem::RemoveFile(const std::string& path) {
-  if (NextOp(OpClass::kOther) != FaultAction::kNone) {
-    return InjectedError("remove failed");
-  }
+  TELEIOS_RETURN_IF_ERROR(Gate("remove failed"));
   return base_->RemoveFile(path);
 }
 
 Result<bool> FaultInjectingFileSystem::FileExists(const std::string& path) {
-  if (NextOp(OpClass::kOther) != FaultAction::kNone) {
-    return InjectedError("stat failed");
-  }
+  TELEIOS_RETURN_IF_ERROR(Gate("stat failed"));
   return base_->FileExists(path);
 }
 
 Status FaultInjectingFileSystem::CreateDir(const std::string& path) {
-  if (NextOp(OpClass::kOther) != FaultAction::kNone) {
-    return InjectedError("mkdir failed");
-  }
+  TELEIOS_RETURN_IF_ERROR(Gate("mkdir failed"));
   return base_->CreateDir(path);
 }
 
 Status FaultInjectingFileSystem::SyncDir(const std::string& dir) {
-  switch (NextOp(OpClass::kSync)) {
-    case FaultAction::kNone:
-      return base_->SyncDir(dir);
-    case FaultAction::kSyncDrop:
-      return Status::OK();  // pretends the rename is durable; it isn't
-    default:
-      return InjectedError("directory fsync failed");
-  }
+  std::optional<FaultKind> fault = NextOp(OpClass::kSync);
+  if (!fault) return base_->SyncDir(dir);
+  // A dropped directory fsync pretends the rename is durable; it isn't.
+  if (fault == FaultKind::kSyncDrop) return Status::OK();
+  return InjectedError("directory fsync failed");
 }
 
 Result<std::vector<std::string>> FaultInjectingFileSystem::ListDirectory(
     const std::string& dir) {
-  if (NextOp(OpClass::kOther) != FaultAction::kNone) {
-    return InjectedError("list failed");
-  }
+  TELEIOS_RETURN_IF_ERROR(Gate("list failed"));
   return base_->ListDirectory(dir);
 }
 

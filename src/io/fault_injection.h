@@ -3,9 +3,11 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/fault_program.h"
 #include "common/thread_annotations.h"
 #include "io/filesystem.h"
 
@@ -32,13 +34,12 @@ enum class FaultKind {
   kBitFlip,
 };
 
-const char* FaultKindName(FaultKind kind);
-
-/// A deterministic, seedable fault program: the `inject_at`-th counted
-/// I/O operation after Arm() misbehaves per `kind`; with `every_n` > 0
-/// the fault also repeats every `every_n` ops after that (fault-rate
-/// benchmarks); with `crash` every operation after the first fault fails
-/// too, simulating a process crash / yanked disk at that exact point.
+/// A deterministic, seedable fault program (run by a FaultProgram): the
+/// `inject_at`-th counted I/O operation after Arm() misbehaves per
+/// `kind`; with `every_n` > 0 the fault also repeats every `every_n` ops
+/// after that (fault-rate benchmarks); with `crash` every operation after
+/// the first fault fails too, counted or not, simulating a process crash
+/// / yanked disk at that exact point.
 struct FaultSpec {
   FaultKind kind = FaultKind::kIoError;
   uint64_t inject_at = 1;  // 1-based op index; 0 disables
@@ -70,15 +71,9 @@ class FaultInjectingFileSystem : public FileSystem {
   void Disarm();
 
   /// Operations counted since the last Arm() (or construction).
-  uint64_t ops() const {
-    MutexLock lock(mu_);
-    return ops_;
-  }
+  uint64_t ops() const { return program_.ops(); }
   /// Faults injected since the last Arm().
-  uint64_t faults_injected() const {
-    MutexLock lock(mu_);
-    return faults_;
-  }
+  uint64_t faults_injected() const { return program_.faults(); }
   /// Bits actually corrupted by kBitFlip faults since the last Arm().
   /// A flip scheduled onto a zero-byte read (an EOF probe) has nothing
   /// to corrupt, so this can lag behind faults_injected().
@@ -103,40 +98,24 @@ class FaultInjectingFileSystem : public FileSystem {
   friend class FaultyWritableFile;
   friend class FaultyReadableFile;
 
-  enum class OpClass { kRead, kAppend, kSync, kOther };
+  enum class OpClass { kRead, kSync, kOther };
 
-  /// What a particular counted operation actually does.
-  enum class FaultAction {
-    kNone,        // behave normally
-    kFail,        // return an IoError
-    kShortWrite,  // write half the bytes, then IoError
-    kEnospc,      // write nothing, ENOSPC-style IoError
-    kSyncDrop,    // report success without syncing
-    kBitFlip,     // read normally, flip one bit of the result
-  };
-
-  /// Counts one operation and decides its fate. Thread-safe: the op
-  /// counter advances under mu_, so "fail the k-th op" stays exact and
-  /// deterministic even when parallel batch products share the
-  /// filesystem (which op lands on k then depends on scheduling, but
-  /// exactly one does).
-  FaultAction NextOp(OpClass op) TELEIOS_EXCLUDES(mu_);
+  /// Counts one operation and decides its fate: nullopt when it goes
+  /// ahead, else the kind of fault to apply — kIoError for every op
+  /// after a crash.
+  std::optional<FaultKind> NextOp(OpClass op) TELEIOS_EXCLUDES(mu_);
+  /// NextOp for an op that any fault simply fails.
+  Status Gate(const char* what) TELEIOS_EXCLUDES(mu_);
   static Status InjectedError(const char* what);
-  /// Corrupts one bit of `bytes[0..len)` (bit-flip bookkeeping + RNG
-  /// under mu_).
+  /// Corrupts one bit of `bytes[0..len)`, placed by the program's RNG.
   void ApplyBitFlip(uint8_t* bytes, size_t len) TELEIOS_EXCLUDES(mu_);
-  uint64_t NextRand() TELEIOS_REQUIRES(mu_);
 
-  /// Guards all fault-program state below.
-  mutable Mutex mu_;
   FileSystem* base_;
+  FaultProgram program_;
+  /// Guards the armed spec and the bit-flip count.
+  mutable Mutex mu_;
   FaultSpec spec_ TELEIOS_GUARDED_BY(mu_);
-  bool armed_ TELEIOS_GUARDED_BY(mu_) = false;
-  bool crashed_ TELEIOS_GUARDED_BY(mu_) = false;
-  uint64_t ops_ TELEIOS_GUARDED_BY(mu_) = 0;
-  uint64_t faults_ TELEIOS_GUARDED_BY(mu_) = 0;
   uint64_t bits_flipped_ TELEIOS_GUARDED_BY(mu_) = 0;
-  uint64_t rng_ TELEIOS_GUARDED_BY(mu_) = 1;
 };
 
 }  // namespace teleios::io

@@ -99,6 +99,12 @@ Result<Value> ApplyBinary(BinaryOp op, const Value& lhs, const Value& rhs) {
     case BinaryOp::kGt:
     case BinaryOp::kGe: {
       if (lhs.is_null() || rhs.is_null()) return Value();
+      // IEEE rules, as in the vectorized kernel: NaN is neither equal
+      // to, below nor above anything (Compare would sort it last).
+      auto is_nan = [](const Value& v) {
+        return v.type() == ValueType::kFloat64 && std::isnan(v.AsFloat64());
+      };
+      if (is_nan(lhs) || is_nan(rhs)) return Value(op == BinaryOp::kNe);
       int c = lhs.Compare(rhs);
       switch (op) {
         case BinaryOp::kEq:

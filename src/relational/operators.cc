@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <functional>
 #include <numeric>
 #include <type_traits>
@@ -647,13 +648,19 @@ void AddInt(AggState& s, int64_t v, AggFn fn) {
   }
 }
 
+/// `a` orders before `b` in Value::Compare's total order, where NaN
+/// comes after every number: MIN skips NaN, MAX is NaN if any input is.
+bool DoubleBefore(double a, double b) {
+  return a < b || (std::isnan(b) && !std::isnan(a));
+}
+
 void AddDouble(AggState& s, double v, AggFn fn) {
   bool first = s.count++ == 0;
   if (WantsSum(fn)) {
     s.sum += v;
   } else if (WantsExtremes(fn)) {
-    if (first || v < s.dmin) s.dmin = v;
-    if (first || v > s.dmax) s.dmax = v;
+    if (first || DoubleBefore(v, s.dmin)) s.dmin = v;
+    if (first || DoubleBefore(s.dmax, v)) s.dmax = v;
   }
 }
 
@@ -684,8 +691,8 @@ void MergeState(AggState& s, const AggState& later, const AggInput& in) {
   ColumnType type =
       in.column != nullptr ? in.column->type() : ColumnType::kInt64;
   if (type == ColumnType::kFloat64) {
-    if (first || later.dmin < s.dmin) s.dmin = later.dmin;
-    if (first || later.dmax > s.dmax) s.dmax = later.dmax;
+    if (first || DoubleBefore(later.dmin, s.dmin)) s.dmin = later.dmin;
+    if (first || DoubleBefore(s.dmax, later.dmax)) s.dmax = later.dmax;
   } else if (type == ColumnType::kString) {
     const storage::Dictionary& dict = in.column->dict();
     if (first || dict.At(later.imin) < dict.At(s.imin)) s.imin = later.imin;

@@ -48,46 +48,35 @@ class FaultyConnection : public Connection {
 
   Status ReadExact(void* dst, size_t n, int poll_millis,
                    bool (*keep_going)(void*), void* arg) override {
-    if (DropNow()) {
-      return Status::Unavailable(
-          "injected transport fault: connection closed by peer");
-    }
-    using Action = FaultInjectingTransport::FaultAction;
-    switch (owner_->NextOp(FaultInjectingTransport::OpClass::kRead)) {
-      case Action::kNone:
-        break;
-      case Action::kStall:
-        Stall();
-        break;
-      case Action::kShortRead: {
-        // Deliver the first half of the message, then the wire dies —
-        // the caller sees a torn frame (kDataLoss), or a clean close
-        // when nothing at all had arrived.
-        size_t half = n / 2;
-        if (half > 0) {
-          Status st = base_->ReadExact(dst, half, poll_millis, keep_going,
-                                       arg);
-          if (!st.ok()) {
-            base_->ShutdownBoth();
-            return st;
-          }
+    std::optional<TransportFaultKind> fault = NextFault();
+    if (fault == TransportFaultKind::kShortRead) {
+      // Deliver the first half of the message, then the wire dies —
+      // the caller sees a torn frame (kDataLoss), or a clean close
+      // when nothing at all had arrived.
+      size_t half = n / 2;
+      if (half > 0) {
+        Status st = base_->ReadExact(dst, half, poll_millis, keep_going, arg);
+        if (!st.ok()) {
+          base_->ShutdownBoth();
+          return st;
         }
-        base_->ShutdownBoth();
-        if (half == 0) {
-          return Status::Unavailable(
-              "injected transport fault: connection closed by peer");
-        }
-        return Status::DataLoss(
-            "injected transport fault: connection closed mid-message (" +
-            std::to_string(half) + "/" + std::to_string(n) + " bytes)");
       }
-      case Action::kDisconnect:
-        base_->ShutdownBoth();
+      base_->ShutdownBoth();
+      if (half == 0) {
         return Status::Unavailable(
             "injected transport fault: connection closed by peer");
-      default:
-        base_->ShutdownBoth();
-        return InjectedIoError("read failed, connection reset");
+      }
+      return Status::DataLoss(
+          "injected transport fault: connection closed mid-message (" +
+          std::to_string(half) + "/" + std::to_string(n) + " bytes)");
+    }
+    if (fault) {
+      base_->ShutdownBoth();
+      if (fault == TransportFaultKind::kDisconnect) {
+        return Status::Unavailable(
+            "injected transport fault: connection closed by peer");
+      }
+      return InjectedIoError("read failed, connection reset");
     }
     Status st = base_->ReadExact(dst, n, poll_millis, keep_going, arg);
     if (st.ok()) bytes_ += n;
@@ -95,21 +84,13 @@ class FaultyConnection : public Connection {
   }
 
   Result<size_t> ReadSome(void* dst, size_t n, int timeout_millis) override {
-    if (DropNow()) return {static_cast<size_t>(0)};  // clean EOF shape
-    using Action = FaultInjectingTransport::FaultAction;
-    switch (owner_->NextOp(FaultInjectingTransport::OpClass::kRead)) {
-      case Action::kNone:
-        break;
-      case Action::kStall:
-        Stall();
-        break;
-      case Action::kShortRead:
-      case Action::kDisconnect:
-        base_->ShutdownBoth();
-        return {static_cast<size_t>(0)};
-      default:
-        base_->ShutdownBoth();
-        return InjectedIoError("read failed, connection reset");
+    if (std::optional<TransportFaultKind> fault = NextFault()) {
+      base_->ShutdownBoth();
+      if (fault == TransportFaultKind::kShortRead ||
+          fault == TransportFaultKind::kDisconnect) {
+        return {static_cast<size_t>(0)};  // clean EOF shape
+      }
+      return InjectedIoError("read failed, connection reset");
     }
     Result<size_t> r = base_->ReadSome(dst, n, timeout_millis);
     if (r.ok()) bytes_ += r.value();
@@ -117,18 +98,8 @@ class FaultyConnection : public Connection {
   }
 
   Status WriteAll(std::string_view data, int timeout_millis) override {
-    if (DropNow()) {
-      return Status::IoError(
-          "injected transport fault: peer closed the connection mid-write");
-    }
-    using Action = FaultInjectingTransport::FaultAction;
-    switch (owner_->NextOp(FaultInjectingTransport::OpClass::kWrite)) {
-      case Action::kNone:
-        break;
-      case Action::kStall:
-        Stall();
-        break;
-      case Action::kShortWrite: {
+    if (std::optional<TransportFaultKind> fault = NextFault()) {
+      if (fault == TransportFaultKind::kShortWrite) {
         // Half the bytes reach the peer, then the wire dies — the peer
         // sees a mid-frame disconnect, we see the write fail.
         Status st =
@@ -137,13 +108,12 @@ class FaultyConnection : public Connection {
         base_->ShutdownBoth();
         return InjectedIoError("write torn mid-frame, connection reset");
       }
-      case Action::kDisconnect:
-        base_->ShutdownBoth();
+      base_->ShutdownBoth();
+      if (fault == TransportFaultKind::kDisconnect) {
         return Status::IoError(
             "injected transport fault: peer closed the connection mid-write");
-      default:
-        base_->ShutdownBoth();
-        return InjectedIoError("write failed, connection reset");
+      }
+      return InjectedIoError("write failed, connection reset");
     }
     Status st = base_->WriteAll(data, timeout_millis);
     if (st.ok()) bytes_ += data.size();
@@ -156,21 +126,14 @@ class FaultyConnection : public Connection {
   const std::string& peer() const override { return base_->peer(); }
 
  private:
-  /// drop_after_bytes: the first op after the byte bound is crossed
-  /// finds the connection dead.
-  bool DropNow() {
-    if (!owner_->ShouldDropAfterBytes(bytes_)) return false;
-    if (!dropped_) {
-      dropped_ = true;
-      owner_->CountFault("drop_after_bytes");
-      base_->ShutdownBoth();
-    }
-    return true;
-  }
-
-  void Stall() {
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(owner_->stall_millis()));
+  /// The fault for this connection's next op. Once the byte bound of
+  /// drop_after_bytes is crossed, every op finds the peer gone: a
+  /// disconnect that is no counted op and counts as one fault.
+  std::optional<TransportFaultKind> NextFault() {
+    if (!owner_->ShouldDropAfterBytes(bytes_)) return owner_->NextOp();
+    if (!dropped_) owner_->CountFault("drop_after_bytes");
+    dropped_ = true;
+    return TransportFaultKind::kDisconnect;
   }
 
   FaultInjectingTransport* owner_;
@@ -193,21 +156,13 @@ class FaultyListener : public Listener {
     Result<std::unique_ptr<Connection>> accepted =
         base_->AcceptWithTimeout(timeout_millis);
     if (!accepted.ok()) return accepted;
-    using Action = FaultInjectingTransport::FaultAction;
-    switch (owner_->NextOp(FaultInjectingTransport::OpClass::kAccept)) {
-      case Action::kNone:
-        break;
-      case Action::kStall:
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(owner_->stall_millis()));
-        break;
-      default:
-        // Every failing kind degrades to a refusal here: the accept
-        // loop treats kUnavailable as "try again", so an injected fault
-        // never looks like the listener itself dying.
-        accepted.value()->ShutdownBoth();
-        return Status::Unavailable(
-            "injected transport fault: connection refused at accept");
+    if (owner_->NextOp()) {
+      // Every failing kind degrades to a refusal here: the accept loop
+      // treats kUnavailable as "try again", so an injected fault never
+      // looks like the listener itself dying.
+      accepted.value()->ShutdownBoth();
+      return Status::Unavailable(
+          "injected transport fault: connection refused at accept");
     }
     return {std::make_unique<FaultyConnection>(
         owner_, std::move(accepted).value())};
@@ -234,18 +189,19 @@ FaultInjectingTransport::FaultInjectingTransport(Transport* base)
 }
 
 void FaultInjectingTransport::Arm(const TransportFaultSpec& spec) {
-  MutexLock lock(mu_);
-  spec_ = spec;
-  armed_ = true;
-  crashed_ = false;
-  ops_ = 0;
-  faults_ = 0;
+  {
+    MutexLock lock(mu_);
+    spec_ = spec;
+  }
+  program_.Arm(spec);
 }
 
 void FaultInjectingTransport::Disarm() {
-  MutexLock lock(mu_);
-  armed_ = false;
-  crashed_ = false;
+  {
+    MutexLock lock(mu_);
+    spec_.drop_after_bytes = 0;
+  }
+  program_.Disarm();
 }
 
 Result<std::unique_ptr<Listener>> FaultInjectingTransport::Listen(
@@ -257,94 +213,46 @@ Result<std::unique_ptr<Listener>> FaultInjectingTransport::Listen(
 
 Result<std::unique_ptr<Connection>> FaultInjectingTransport::Connect(
     const std::string& host, int port) {
-  switch (NextOp(OpClass::kConnect)) {
-    case FaultAction::kNone:
-      break;
-    case FaultAction::kStall:
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(stall_millis()));
-      break;
-    case FaultAction::kRefuse:
-      return Status::Unavailable(
-          "injected transport fault: connection refused");
-    default:
-      return InjectedIoError("connect failed");
+  // Every failing kind degrades to a refusal: there is no established
+  // stream to tear.
+  if (NextOp()) {
+    return Status::Unavailable("injected transport fault: connection refused");
   }
   TELEIOS_ASSIGN_OR_RETURN(std::unique_ptr<Connection> conn,
                            base_->Connect(host, port));
   return {std::make_unique<FaultyConnection>(this, std::move(conn))};
 }
 
-FaultInjectingTransport::FaultAction FaultInjectingTransport::NextOp(
-    OpClass op) {
-  FaultAction action = FaultAction::kNone;
-  const char* fired_kind = nullptr;
+std::optional<TransportFaultKind> FaultInjectingTransport::NextOp() {
+  TransportFaultKind kind;
+  int stall_millis;
   {
     MutexLock lock(mu_);
-    ++ops_;
-    if (armed_) {
-      if (crashed_) {
-        // Everything after the crash point fails; accepts and connects
-        // stay merely "unavailable" so loops keep polling.
-        action = (op == OpClass::kAccept || op == OpClass::kConnect)
-                     ? FaultAction::kRefuse
-                     : FaultAction::kFail;
-      } else if (spec_.inject_at > 0 && ops_ >= spec_.inject_at &&
-                 (ops_ == spec_.inject_at ||
-                  (spec_.every_n > 0 &&
-                   (ops_ - spec_.inject_at) % spec_.every_n == 0))) {
-        ++faults_;
-        fired_kind = TransportFaultKindName(spec_.kind);
-        if (spec_.crash) crashed_ = true;
-        switch (spec_.kind) {
-          case TransportFaultKind::kIoError:
-            action = FaultAction::kFail;
-            break;
-          case TransportFaultKind::kShortWrite:
-            action = op == OpClass::kWrite ? FaultAction::kShortWrite
-                                           : FaultAction::kFail;
-            break;
-          case TransportFaultKind::kShortRead:
-            action = op == OpClass::kRead ? FaultAction::kShortRead
-                                          : FaultAction::kFail;
-            break;
-          case TransportFaultKind::kDisconnect:
-            action = FaultAction::kDisconnect;
-            break;
-          case TransportFaultKind::kConnectRefused:
-            action = op == OpClass::kConnect ? FaultAction::kRefuse
-                                             : FaultAction::kFail;
-            break;
-          case TransportFaultKind::kStall:
-            action = FaultAction::kStall;
-            break;
-        }
-        // A connect/accept can only refuse or stall, whatever the kind:
-        // there is no established stream to tear.
-        if (op == OpClass::kConnect || op == OpClass::kAccept) {
-          if (action != FaultAction::kStall) action = FaultAction::kRefuse;
-        }
-      }
-    }
+    kind = spec_.kind;
+    stall_millis = spec_.stall_millis;
   }
-  if (fired_kind != nullptr) {
-    obs::Count(obs::WithLabel("teleios_transport_faults_injected_total",
-                              "kind", fired_kind));
+  switch (program_.Next()) {
+    case FaultStep::kPass:
+      return std::nullopt;
+    case FaultStep::kAfterCrash:
+      return TransportFaultKind::kIoError;
+    case FaultStep::kFire:
+      break;
   }
-  return action;
+  obs::Count(obs::WithLabel("teleios_transport_faults_injected_total", "kind",
+                            TransportFaultKindName(kind)));
+  if (kind != TransportFaultKind::kStall) return kind;
+  std::this_thread::sleep_for(std::chrono::milliseconds(stall_millis));
+  return std::nullopt;
 }
 
 bool FaultInjectingTransport::ShouldDropAfterBytes(uint64_t total) {
   MutexLock lock(mu_);
-  return armed_ && spec_.drop_after_bytes > 0 &&
-         total >= spec_.drop_after_bytes;
+  return spec_.drop_after_bytes > 0 && total >= spec_.drop_after_bytes;
 }
 
 void FaultInjectingTransport::CountFault(const char* kind) {
-  {
-    MutexLock lock(mu_);
-    ++faults_;
-  }
+  program_.CountFault();
   obs::Count(
       obs::WithLabel("teleios_transport_faults_injected_total", "kind", kind));
 }

@@ -3,8 +3,10 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 
+#include "common/fault_program.h"
 #include "common/thread_annotations.h"
 #include "server/transport.h"
 
@@ -37,13 +39,13 @@ enum class TransportFaultKind {
 
 const char* TransportFaultKindName(TransportFaultKind kind);
 
-/// A deterministic fault program over counted transport operations,
-/// mirroring io::FaultSpec: the `inject_at`-th counted op after Arm()
-/// misbehaves per `kind`; with `every_n` > 0 the fault repeats every
-/// `every_n` ops after that (fault-rate benchmarks); with `crash` every
-/// op after the first fault fails too (except accepts, which stay
-/// merely unavailable so a server's accept loop survives its own
-/// network dying).
+/// A deterministic fault program over counted transport operations (run
+/// by a FaultProgram, like io::FaultSpec): the `inject_at`-th counted op
+/// after Arm() misbehaves per `kind`; with `every_n` > 0 the fault
+/// repeats every `every_n` ops after that (fault-rate benchmarks); with
+/// `crash` every op after the first fault fails too (except accepts and
+/// connects, which stay merely unavailable so a server's accept loop
+/// survives its own network dying).
 struct TransportFaultSpec {
   TransportFaultKind kind = TransportFaultKind::kDisconnect;
   uint64_t inject_at = 1;  // 1-based op index; 0 disables
@@ -56,7 +58,6 @@ struct TransportFaultSpec {
   /// this — mid-stream disconnects placed by byte position instead of
   /// op index.
   uint64_t drop_after_bytes = 0;
-  uint64_t seed = 1;  // reserved for randomized placements
 };
 
 /// Wraps any Transport and injects deterministic faults per an armed
@@ -81,19 +82,14 @@ class FaultInjectingTransport : public Transport {
 
   /// Installs `spec` and resets the operation counter.
   void Arm(const TransportFaultSpec& spec);
-  /// Back to pass-through (op counter keeps its value).
+  /// Back to pass-through, byte-position drops included (op counter
+  /// keeps its value).
   void Disarm();
 
   /// Operations counted since the last Arm() (or construction).
-  uint64_t ops() const {
-    MutexLock lock(mu_);
-    return ops_;
-  }
+  uint64_t ops() const { return program_.ops(); }
   /// Faults injected since the last Arm().
-  uint64_t faults_injected() const {
-    MutexLock lock(mu_);
-    return faults_;
-  }
+  uint64_t faults_injected() const { return program_.faults(); }
 
   Result<std::unique_ptr<Listener>> Listen(int port, int backlog) override;
   Result<std::unique_ptr<Connection>> Connect(const std::string& host,
@@ -103,40 +99,20 @@ class FaultInjectingTransport : public Transport {
   friend class FaultyConnection;
   friend class FaultyListener;
 
-  enum class OpClass { kConnect, kAccept, kRead, kWrite };
-
-  /// What a particular counted operation actually does.
-  enum class FaultAction {
-    kNone,
-    kFail,       // IoError (kUnavailable for connects), connection dies
-    kShortWrite,
-    kShortRead,
-    kDisconnect,
-    kRefuse,
-    kStall,      // sleep, then behave normally
-  };
-
-  /// Counts one operation and decides its fate. Thread-safe: the op
-  /// counter advances under mu_, so "fail the k-th op" stays exact even
-  /// when several connections (client and server ends of a sweep) share
-  /// the transport — which op lands on k then depends on scheduling,
-  /// but exactly one does.
-  FaultAction NextOp(OpClass op) TELEIOS_EXCLUDES(mu_);
+  /// Counts one operation and decides its fate: nullopt when it goes
+  /// ahead (after sleeping, for a kStall), else the kind of fault to
+  /// apply — kIoError for every op after a crash. Connects and accepts
+  /// turn any fault into a refusal.
+  std::optional<TransportFaultKind> NextOp() TELEIOS_EXCLUDES(mu_);
   /// drop_after_bytes bookkeeping: true once `total` crossed the bound.
   bool ShouldDropAfterBytes(uint64_t total) TELEIOS_EXCLUDES(mu_);
-  void CountFault(const char* kind) TELEIOS_EXCLUDES(mu_);
-  int stall_millis() const {
-    MutexLock lock(mu_);
-    return spec_.stall_millis;
-  }
+  void CountFault(const char* kind);
 
   Transport* base_;
+  FaultProgram program_;
+  /// Guards the armed spec.
   mutable Mutex mu_;
   TransportFaultSpec spec_ TELEIOS_GUARDED_BY(mu_);
-  bool armed_ TELEIOS_GUARDED_BY(mu_) = false;
-  bool crashed_ TELEIOS_GUARDED_BY(mu_) = false;
-  uint64_t ops_ TELEIOS_GUARDED_BY(mu_) = 0;
-  uint64_t faults_ TELEIOS_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace teleios::server

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <string>
+
+#include "common/fault_program.h"
 #include "common/logging.h"
 #include "common/status.h"
 #include "common/strings.h"
@@ -159,6 +164,15 @@ TEST(ValueTest, StringCompare) {
   EXPECT_EQ(Value("a").Compare(Value("a")), 0);
 }
 
+TEST(ValueTest, NanSortsAfterEveryNumberAndEqualsNan) {
+  const Value nan(std::numeric_limits<double>::quiet_NaN());
+  EXPECT_GT(nan.Compare(Value(1.0)), 0);
+  EXPECT_LT(Value(std::numeric_limits<double>::infinity()).Compare(nan), 0);
+  EXPECT_GT(nan.Compare(Value(int64_t{5})), 0);
+  EXPECT_EQ(nan.Compare(Value(-std::nan(""))), 0);
+  EXPECT_LT(Value().Compare(nan), 0);  // NULL still first
+}
+
 TEST(ValueTest, ToString) {
   EXPECT_EQ(Value().ToString(), "NULL");
   EXPECT_EQ(Value(true).ToString(), "true");
@@ -191,6 +205,73 @@ TEST(LoggingTest, ParseLogLevel) {
   EXPECT_FALSE(ParseLogLevel("loud", &level));
   EXPECT_FALSE(ParseLogLevel("", &level));
   EXPECT_EQ(level, LogLevel::kError);  // untouched on failure
+}
+
+// --- the counted fault schedule shared by every injector --------------
+
+/// The fate of the next `n` counted ops: '.' pass, 'F' fire, 'X' after
+/// the crash.
+std::string Steps(FaultProgram& program, int n) {
+  std::string out;
+  for (int i = 0; i < n; ++i) out += ".FX"[static_cast<int>(program.Next())];
+  return out;
+}
+
+TEST(FaultProgramTest, InjectAtFiresExactlyAtTheKthOp) {
+  FaultProgram program;
+  program.Arm(/*inject_at=*/3, /*every_n=*/0, /*crash=*/false, /*seed=*/1);
+  EXPECT_EQ(Steps(program, 5), "..F..");
+  EXPECT_EQ(program.ops(), 5u);
+  EXPECT_EQ(program.faults(), 1u);
+}
+
+TEST(FaultProgramTest, EveryNRepeatsAfterTheFirstFault) {
+  FaultProgram program;
+  program.Arm(/*inject_at=*/2, /*every_n=*/3, /*crash=*/false, /*seed=*/1);
+  EXPECT_EQ(Steps(program, 9), ".F..F..F.");
+  EXPECT_EQ(program.faults(), 3u);
+}
+
+TEST(FaultProgramTest, CrashFailsEverythingAfterTheFirstFault) {
+  FaultProgram program;
+  program.Arm(/*inject_at=*/2, /*every_n=*/0, /*crash=*/true, /*seed=*/1);
+  EXPECT_EQ(Steps(program, 4), ".FXX");
+  EXPECT_EQ(program.Next(/*counted=*/false), FaultStep::kAfterCrash);
+  EXPECT_EQ(program.ops(), 2u);  // ops after the crash are not counted
+  program.Disarm();
+  EXPECT_EQ(Steps(program, 2), "..");
+}
+
+TEST(FaultProgramTest, InjectAtZeroCountsButNeverFires) {
+  FaultProgram program;
+  EXPECT_EQ(Steps(program, 3), "...");  // never armed: counting already
+  EXPECT_EQ(program.ops(), 3u);
+  program.Arm(/*inject_at=*/0, /*every_n=*/1, /*crash=*/true, /*seed=*/1);
+  EXPECT_EQ(Steps(program, 50), std::string(50, '.'));
+  EXPECT_EQ(program.Next(/*counted=*/false), FaultStep::kPass);
+  EXPECT_EQ(program.ops(), 50u);
+  EXPECT_EQ(program.faults(), 0u);
+}
+
+TEST(FaultProgramTest, HitThatDoesNotApplyIsNoFault) {
+  FaultProgram program;
+  program.Arm(/*inject_at=*/1, /*every_n=*/0, /*crash=*/true, /*seed=*/1);
+  EXPECT_EQ(program.Next(/*counted=*/true, /*applies=*/false),
+            FaultStep::kPass);
+  EXPECT_EQ(program.faults(), 0u);
+  EXPECT_EQ(Steps(program, 1), ".");  // no crash either
+}
+
+TEST(FaultProgramTest, ArmResetsTheCountersTheCrashAndTheRng) {
+  FaultProgram program;
+  program.Arm(/*inject_at=*/1, /*every_n=*/0, /*crash=*/true, /*seed=*/7);
+  const uint64_t first_draw = program.NextRandom();
+  EXPECT_EQ(Steps(program, 2), "FX");
+  program.Arm(/*inject_at=*/2, /*every_n=*/0, /*crash=*/false, /*seed=*/7);
+  EXPECT_EQ(program.ops(), 0u);
+  EXPECT_EQ(program.faults(), 0u);
+  EXPECT_EQ(program.NextRandom(), first_draw);
+  EXPECT_EQ(Steps(program, 3), ".F.");
 }
 
 }  // namespace

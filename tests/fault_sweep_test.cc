@@ -16,30 +16,15 @@
 #include "io/filesystem.h"
 #include "storage/catalog.h"
 #include "storage/persistence.h"
+#include "sweep_harness.h"
 #include "vault/formats.h"
 #include "vault/vault.h"
 
 namespace teleios {
 namespace {
 
-namespace stdfs = std::filesystem;
-
-class FaultSweepTest : public ::testing::Test {
+class FaultSweepTest : public FaultyFileSystemTest {
  protected:
-  void SetUp() override {
-    dir_ = stdfs::temp_directory_path() /
-           ("fault_sweep_" + std::to_string(::getpid()));
-    stdfs::create_directories(dir_);
-    faulty_ = std::make_unique<io::FaultInjectingFileSystem>(&posix_);
-    prev_ = io::SetFileSystem(faulty_.get());
-  }
-  void TearDown() override {
-    io::SetFileSystem(prev_);
-    stdfs::remove_all(dir_);
-  }
-
-  std::string Path(const std::string& name) { return (dir_ / name).string(); }
-
   static storage::Table MakeTable(int64_t tag) {
     storage::Table t{storage::Schema({{"id", storage::ColumnType::kInt64},
                                       {"name", storage::ColumnType::kString}})};
@@ -63,11 +48,6 @@ class FaultSweepTest : public ::testing::Test {
     r.bands.assign(2, std::vector<double>(16 * 12, 300.0));
     return r;
   }
-
-  stdfs::path dir_;
-  io::PosixFileSystem posix_;
-  std::unique_ptr<io::FaultInjectingFileSystem> faulty_;
-  io::FileSystem* prev_ = nullptr;
 };
 
 // Crash at every possible I/O op during a checksummed table write: the
@@ -75,78 +55,78 @@ class FaultSweepTest : public ::testing::Test {
 TEST_F(FaultSweepTest, TeltWriteSweepNeverLeavesHybrid) {
   const std::string path = Path("t.telt");
   ASSERT_TRUE(storage::WriteTable(MakeTable(0), path).ok());
-
-  // Baseline run to learn the op count.
-  io::FaultSpec probe;
-  probe.inject_at = 0;
-  faulty_->Arm(probe);
-  ASSERT_TRUE(storage::WriteTable(MakeTable(1000), path).ok());
-  uint64_t total_ops = faulty_->ops();
-  ASSERT_GT(total_ops, 3u);
-  ASSERT_TRUE(storage::WriteTable(MakeTable(0), path).ok());
-
-  for (uint64_t k = 1; k <= total_ops; ++k) {
-    io::FaultSpec spec;
-    spec.inject_at = k;
-    spec.crash = true;
-    faulty_->Arm(spec);
-    Status st = storage::WriteTable(MakeTable(1000), path);
-    faulty_->Disarm();
-    auto back = storage::ReadTable(path);
-    ASSERT_TRUE(back.ok()) << "fault at op " << k << ": "
-                           << back.status().ToString();
-    int64_t first = back->column(0).GetInt64(0);
-    if (st.ok()) {
-      EXPECT_EQ(first, 1000) << "fault at op " << k;
-    } else {
-      // A fault at or after the rename (the post-rename directory fsync)
-      // can leave the new file with a non-OK status; either complete
-      // version is consistent, a hybrid is not.
-      EXPECT_TRUE(first == 0 || first == 1000) << "fault at op " << k;
-    }
-    if (first != 0 || st.ok()) {
-      ASSERT_TRUE(storage::WriteTable(MakeTable(0), path).ok());
-    }
-  }
+  uint64_t n = SweepEveryOp(
+      "telt write", ArmAt(faulty_.get(), io::FaultSpec{.crash = true}),
+      [&] {
+        EXPECT_TRUE(storage::WriteTable(MakeTable(1000), path).ok());
+        uint64_t ops = faulty_->ops();
+        EXPECT_TRUE(storage::WriteTable(MakeTable(0), path).ok());
+        return ops;
+      },
+      [&](uint64_t) {
+        Status st = storage::WriteTable(MakeTable(1000), path);
+        faulty_->Disarm();
+        auto back = storage::ReadTable(path);
+        ASSERT_TRUE(back.ok()) << back.status().ToString();
+        int64_t first = back->column(0).GetInt64(0);
+        if (st.ok()) {
+          EXPECT_EQ(first, 1000);
+        } else {
+          // A fault at or after the rename (the post-rename directory
+          // fsync) can leave the new file with a non-OK status; either
+          // complete version is consistent, a hybrid is not.
+          EXPECT_TRUE(first == 0 || first == 1000);
+        }
+        if (first != 0 || st.ok()) {
+          ASSERT_TRUE(storage::WriteTable(MakeTable(0), path).ok());
+        }
+      });
+  EXPECT_GT(n, 3u);
 }
 
-// Read-side bit flips: every single-bit corruption of any read during a
-// TELT load is detected (DataLoss/ParseError), never silently parsed.
+// Read-side bit-flip sweep over `read`: every single-bit corruption of
+// any read is detected (DataLoss/ParseError), never silently parsed.
+// `seed_at(k)` places the flip of fault point k.
+template <typename Read, typename SeedAt>
+void BitFlipSweep(io::FaultInjectingFileSystem* faulty,
+                  const std::string& name, Read read, SeedAt seed_at) {
+  uint64_t n = SweepEveryOp(
+      name,
+      [&](uint64_t k) {
+        faulty->Arm({.kind = io::FaultKind::kBitFlip,
+                     .inject_at = k,
+                     .reads_only = true,
+                     .seed = seed_at(k)});
+      },
+      [&] {
+        EXPECT_TRUE(read().ok());
+        return faulty->ops();
+      },
+      [&](uint64_t) {
+        auto r = read();
+        uint64_t flipped = faulty->bits_flipped();
+        faulty->Disarm();
+        if (r.ok()) {
+          // Only tolerable when the fault landed on a zero-byte EOF probe
+          // and so had nothing to corrupt.
+          EXPECT_EQ(flipped, 0u) << "flip was not detected";
+          return;
+        }
+        EXPECT_TRUE(r.status().code() == StatusCode::kDataLoss ||
+                    r.status().code() == StatusCode::kParseError)
+            << r.status().ToString();
+      });
+  EXPECT_GT(n, 0u);
+}
+
 TEST_F(FaultSweepTest, TeltReadBitFlipSweepAlwaysDetected) {
   const std::string path = Path("t.telt");
   ASSERT_TRUE(storage::WriteTable(MakeTable(0), path).ok());
-
-  io::FaultSpec probe;
-  probe.inject_at = 0;
-  probe.reads_only = true;
-  faulty_->Arm(probe);
-  ASSERT_TRUE(storage::ReadTable(path).ok());
-  uint64_t read_ops = faulty_->ops();
-  ASSERT_GT(read_ops, 0u);
-
-  for (uint64_t k = 1; k <= read_ops; ++k) {
-    for (uint64_t seed : {1u, 99u}) {
-      io::FaultSpec spec;
-      spec.kind = io::FaultKind::kBitFlip;
-      spec.reads_only = true;
-      spec.inject_at = k;
-      spec.seed = seed;
-      faulty_->Arm(spec);
-      auto r = storage::ReadTable(path);
-      uint64_t flipped = faulty_->bits_flipped();
-      faulty_->Disarm();
-      if (r.ok()) {
-        // Only tolerable when the fault landed on a zero-byte EOF probe
-        // and so had nothing to corrupt.
-        EXPECT_EQ(flipped, 0u)
-            << "flip at read op " << k << " seed " << seed
-            << " was not detected";
-        continue;
-      }
-      EXPECT_TRUE(r.status().code() == StatusCode::kDataLoss ||
-                  r.status().code() == StatusCode::kParseError)
-          << r.status().ToString();
-    }
+  for (uint64_t seed : {1u, 99u}) {
+    BitFlipSweep(
+        faulty_.get(), "telt read bit-flip seed " + std::to_string(seed),
+        [&] { return storage::ReadTable(path); },
+        [seed](uint64_t) { return seed; });
   }
 }
 
@@ -154,57 +134,31 @@ TEST_F(FaultSweepTest, TeltReadBitFlipSweepAlwaysDetected) {
 TEST_F(FaultSweepTest, TerWriteAndReadSweep) {
   const std::string path = Path("scene.ter");
   ASSERT_TRUE(vault::WriteTer(MakeRaster("old"), path).ok());
-
-  io::FaultSpec probe;
-  probe.inject_at = 0;
-  faulty_->Arm(probe);
-  ASSERT_TRUE(vault::WriteTer(MakeRaster("new"), path).ok());
-  uint64_t write_ops = faulty_->ops();
-  ASSERT_TRUE(vault::WriteTer(MakeRaster("old"), path).ok());
-
-  for (uint64_t k = 1; k <= write_ops; ++k) {
-    io::FaultSpec spec;
-    spec.inject_at = k;
-    spec.crash = true;
-    faulty_->Arm(spec);
-    Status st = vault::WriteTer(MakeRaster("new"), path);
-    faulty_->Disarm();
-    auto back = vault::ReadTer(path);
-    ASSERT_TRUE(back.ok()) << "fault at op " << k;
-    if (st.ok()) {
-      EXPECT_EQ(back->name, "new") << "fault at op " << k;
-    } else {
-      EXPECT_TRUE(back->name == "old" || back->name == "new")
-          << "fault at op " << k;
-    }
-    if (back->name == "new") {
-      ASSERT_TRUE(vault::WriteTer(MakeRaster("old"), path).ok());
-    }
-  }
-
-  probe.reads_only = true;
-  faulty_->Arm(probe);
-  ASSERT_TRUE(vault::ReadTer(path).ok());
-  uint64_t read_ops = faulty_->ops();
-  for (uint64_t k = 1; k <= read_ops; ++k) {
-    io::FaultSpec spec;
-    spec.kind = io::FaultKind::kBitFlip;
-    spec.reads_only = true;
-    spec.inject_at = k;
-    spec.seed = 7 * k + 1;
-    faulty_->Arm(spec);
-    auto r = vault::ReadTer(path);
-    uint64_t flipped = faulty_->bits_flipped();
-    faulty_->Disarm();
-    if (r.ok()) {
-      EXPECT_EQ(flipped, 0u)
-          << "flip at read op " << k << " was not detected";
-      continue;
-    }
-    EXPECT_TRUE(r.status().code() == StatusCode::kDataLoss ||
-                r.status().code() == StatusCode::kParseError)
-        << r.status().ToString();
-  }
+  SweepEveryOp(
+      "ter write", ArmAt(faulty_.get(), io::FaultSpec{.crash = true}),
+      [&] {
+        EXPECT_TRUE(vault::WriteTer(MakeRaster("new"), path).ok());
+        uint64_t ops = faulty_->ops();
+        EXPECT_TRUE(vault::WriteTer(MakeRaster("old"), path).ok());
+        return ops;
+      },
+      [&](uint64_t) {
+        Status st = vault::WriteTer(MakeRaster("new"), path);
+        faulty_->Disarm();
+        auto back = vault::ReadTer(path);
+        ASSERT_TRUE(back.ok());
+        if (st.ok()) {
+          EXPECT_EQ(back->name, "new");
+        } else {
+          EXPECT_TRUE(back->name == "old" || back->name == "new");
+        }
+        if (back->name == "new") {
+          ASSERT_TRUE(vault::WriteTer(MakeRaster("old"), path).ok());
+        }
+      });
+  BitFlipSweep(
+      faulty_.get(), "ter read bit-flip", [&] { return vault::ReadTer(path); },
+      [](uint64_t k) { return 7 * k + 1; });
 }
 
 // Crash at every possible I/O op while replacing a catalog snapshot
@@ -227,41 +181,39 @@ TEST_F(FaultSweepTest, CatalogSnapshotSweepNeverMixesGenerations) {
       "zeta", std::make_shared<storage::Table>(MakeTable(2000))).ok());
   ASSERT_TRUE(storage::SaveCatalog(old_cat, dir).ok());
 
-  io::FaultSpec probe;
-  probe.inject_at = 0;
-  faulty_->Arm(probe);
-  ASSERT_TRUE(storage::SaveCatalog(new_cat, dir).ok());
-  uint64_t total_ops = faulty_->ops();
-  ASSERT_GT(total_ops, 6u);
-  ASSERT_TRUE(storage::SaveCatalog(old_cat, dir).ok());
-
   auto first_id = [](const storage::Catalog& c, const std::string& name) {
     auto t = c.GetTable(name);
     return t.ok() ? (*t)->column(0).GetInt64(0) : int64_t{-1};
   };
-  for (uint64_t k = 1; k <= total_ops; ++k) {
-    io::FaultSpec spec;
-    spec.inject_at = k;
-    spec.crash = true;
-    faulty_->Arm(spec);
-    Status st = storage::SaveCatalog(new_cat, dir);
-    faulty_->Disarm();
-    storage::Catalog loaded;
-    auto n = storage::LoadCatalog(dir, &loaded);
-    ASSERT_TRUE(n.ok()) << "fault at op " << k << ": "
-                        << n.status().ToString();
-    ASSERT_EQ(*n, 2u) << "fault at op " << k;
-    bool is_old = loaded.HasTable("alpha");
-    if (st.ok()) EXPECT_FALSE(is_old) << "fault at op " << k;
-    if (is_old) {
-      EXPECT_EQ(first_id(loaded, "alpha"), 0) << "fault at op " << k;
-      EXPECT_EQ(first_id(loaded, "beta"), 100) << "fault at op " << k;
-    } else {
-      EXPECT_EQ(first_id(loaded, "beta"), 1000) << "fault at op " << k;
-      EXPECT_EQ(first_id(loaded, "zeta"), 2000) << "fault at op " << k;
-      ASSERT_TRUE(storage::SaveCatalog(old_cat, dir).ok());
-    }
-  }
+  uint64_t n = SweepEveryOp(
+      "catalog snapshot", ArmAt(faulty_.get(), io::FaultSpec{.crash = true}),
+      [&] {
+        EXPECT_TRUE(storage::SaveCatalog(new_cat, dir).ok());
+        uint64_t ops = faulty_->ops();
+        EXPECT_TRUE(storage::SaveCatalog(old_cat, dir).ok());
+        return ops;
+      },
+      [&](uint64_t) {
+        Status st = storage::SaveCatalog(new_cat, dir);
+        faulty_->Disarm();
+        storage::Catalog loaded;
+        auto n = storage::LoadCatalog(dir, &loaded);
+        ASSERT_TRUE(n.ok()) << n.status().ToString();
+        ASSERT_EQ(*n, 2u);
+        bool is_old = loaded.HasTable("alpha");
+        if (st.ok()) {
+          EXPECT_FALSE(is_old);
+        }
+        if (is_old) {
+          EXPECT_EQ(first_id(loaded, "alpha"), 0);
+          EXPECT_EQ(first_id(loaded, "beta"), 100);
+        } else {
+          EXPECT_EQ(first_id(loaded, "beta"), 1000);
+          EXPECT_EQ(first_id(loaded, "zeta"), 2000);
+          ASSERT_TRUE(storage::SaveCatalog(old_cat, dir).ok());
+        }
+      });
+  EXPECT_GT(n, 6u);
 }
 
 // Fault at every op during an archive attach + full ingest: clean Status,
@@ -270,38 +222,34 @@ TEST_F(FaultSweepTest, CatalogSnapshotSweepNeverMixesGenerations) {
 TEST_F(FaultSweepTest, AttachAndIngestSweepSurvives) {
   ASSERT_TRUE(vault::WriteTer(MakeRaster("a"), Path("a.ter")).ok());
   ASSERT_TRUE(vault::WriteTer(MakeRaster("b"), Path("b.ter")).ok());
-
-  io::FaultSpec probe;
-  probe.inject_at = 0;
-  faulty_->Arm(probe);
-  {
-    storage::Catalog catalog;
-    vault::DataVault vault(&catalog);
-    ASSERT_TRUE(vault.Attach(dir_.string()).ok());
-    ASSERT_TRUE(vault.IngestAll().ok());
-  }
-  uint64_t total_ops = faulty_->ops();
-  ASSERT_GT(total_ops, 4u);
-
-  for (uint64_t k = 1; k <= total_ops; ++k) {
-    io::FaultSpec spec;
-    spec.inject_at = k;
-    faulty_->Arm(spec);
-    storage::Catalog catalog;
-    vault::DataVault vault(&catalog);
-    vault.set_ingest_retry({/*max_attempts=*/1});
-    auto attached = vault.Attach(dir_.string());
-    Status ingest = attached.ok() ? vault.IngestAll() : attached.status();
-    faulty_->Disarm();
-    // Whatever happened, it was a clean Status; after the fault clears,
-    // healing + re-ingest must fully recover.
-    (void)ingest;
-    if (attached.ok() && *attached == 2) {
-      vault.Heal();
-      vault.EvictCache();
-      EXPECT_TRUE(vault.IngestAll().ok()) << "fault at op " << k;
-    }
-  }
+  uint64_t n = SweepEveryOp(
+      "attach + ingest", ArmAt(faulty_.get(), io::FaultSpec{}),
+      [&] {
+        {
+          storage::Catalog catalog;
+          vault::DataVault vault(&catalog);
+          EXPECT_TRUE(vault.Attach(dir_.string()).ok());
+          EXPECT_TRUE(vault.IngestAll().ok());
+        }
+        return faulty_->ops();
+      },
+      [&](uint64_t) {
+        storage::Catalog catalog;
+        vault::DataVault vault(&catalog);
+        vault.set_ingest_retry({/*max_attempts=*/1});
+        auto attached = vault.Attach(dir_.string());
+        Status ingest = attached.ok() ? vault.IngestAll() : attached.status();
+        faulty_->Disarm();
+        // Whatever happened, it was a clean Status; after the fault
+        // clears, healing + re-ingest must fully recover.
+        (void)ingest;
+        if (attached.ok() && *attached == 2) {
+          vault.Heal();
+          vault.EvictCache();
+          EXPECT_TRUE(vault.IngestAll().ok());
+        }
+      });
+  EXPECT_GT(n, 4u);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 
 #include <chrono>
 #include <filesystem>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -28,6 +29,7 @@
 #include "io/retry.h"
 #include "mining/kmeans.h"
 #include "noa/chain.h"
+#include "sweep_harness.h"
 
 namespace teleios {
 namespace {
@@ -545,32 +547,34 @@ TEST_F(GovernedObservatoryTest, OomInjectionSweepNeverCrashesOrLeaks) {
   FaultInjectingBudget injector(&root);
   ScopedBudget scope(&injector);
 
-  // Baseline: disarmed pass-through; learn the reservation count.
-  auto baseline = veo_.SciQl(query);
-  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
-  uint64_t reservations = injector.reservations();
+  // Baseline: armed at 0, a pass-through that learns the reservation
+  // count. Then refuse the k-th reservation for every k: each run must
+  // fail with a clean kResourceExhausted (no crash, no bad_alloc escape)
+  // and leave the budget balanced at zero.
+  std::optional<Result<storage::Table>> baseline;
+  uint64_t reservations = SweepEveryOp(
+      "oom", ArmAt(&injector, BudgetFaultSpec{}),
+      [&] {
+        baseline = veo_.SciQl(query);
+        EXPECT_TRUE(baseline->ok()) << baseline->status().ToString();
+        return injector.reservations();
+      },
+      [&](uint64_t) {
+        auto starved = veo_.SciQl(query);
+        ASSERT_FALSE(starved.ok());
+        EXPECT_EQ(starved.status().code(), StatusCode::kResourceExhausted)
+            << starved.status().ToString();
+        EXPECT_EQ(root.used(), 0u);
+        EXPECT_EQ(injector.used(), 0u);
+      });
   ASSERT_GT(reservations, 0u) << "query must exercise budget charges";
-
-  // Refuse the k-th reservation for every k: each run must fail with a
-  // clean kResourceExhausted (no crash, no bad_alloc escape) and leave
-  // the budget balanced at zero.
-  for (uint64_t k = 1; k <= reservations; ++k) {
-    BudgetFaultSpec spec;
-    spec.inject_at = k;
-    injector.Arm(spec);
-    auto starved = veo_.SciQl(query);
-    ASSERT_FALSE(starved.ok()) << "k=" << k;
-    EXPECT_EQ(starved.status().code(), StatusCode::kResourceExhausted)
-        << "k=" << k << ": " << starved.status().ToString();
-    EXPECT_EQ(root.used(), 0u) << "k=" << k;
-    EXPECT_EQ(injector.used(), 0u) << "k=" << k;
-  }
+  ASSERT_TRUE(baseline->ok());
 
   // Disarmed again the result is bit-identical to the baseline.
   injector.Disarm();
   auto recovered = veo_.SciQl(query);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-  EXPECT_EQ(recovered->ToString(1000), baseline->ToString(1000));
+  EXPECT_EQ(recovered->ToString(1000), (*baseline)->ToString(1000));
 }
 
 TEST_F(GovernedObservatoryTest, AdmissionShedsWhenSaturated) {

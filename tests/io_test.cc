@@ -15,6 +15,7 @@
 #include "io/filesystem.h"
 #include "io/retry.h"
 #include "io/wal.h"
+#include "sweep_harness.h"
 
 namespace teleios::io {
 namespace {
@@ -263,25 +264,32 @@ TEST_F(FaultTest, AtomicWriteLeavesOldOrNewFileOnFault) {
   // the complete old or complete new file (a fault at the post-rename
   // directory fsync leaves the new file with a non-OK status) — never a
   // hybrid, never missing.
-  for (uint64_t k = 1; k <= 9; ++k) {
-    FaultSpec spec;
-    spec.inject_at = k;
-    spec.crash = true;
-    faulty.Arm(spec);
-    Status st = GetFileSystem()->WriteFileAtomic(Path("f"), "replacement!");
-    faulty.Disarm();
-    auto back = GetFileSystem()->ReadFile(Path("f"));
-    ASSERT_TRUE(back.ok()) << "fault at op " << k;
-    if (st.ok()) {
-      EXPECT_EQ(*back, "replacement!") << "fault at op " << k;
-    } else {
-      EXPECT_TRUE(*back == "old" || *back == "replacement!")
-          << "hybrid after fault at op " << k << ": '" << *back << "'";
-    }
-    if (*back != "old") {
-      ASSERT_TRUE(GetFileSystem()->WriteFileAtomic(Path("f"), "old").ok());
-    }
-  }
+  auto write = [&](const char* content) {
+    return GetFileSystem()->WriteFileAtomic(Path("f"), content);
+  };
+  SweepEveryOp(
+      "atomic write", ArmAt(&faulty, FaultSpec{.crash = true}),
+      [&] {
+        EXPECT_TRUE(write("replacement!").ok());
+        uint64_t ops = faulty.ops();
+        EXPECT_TRUE(write("old").ok());
+        return ops;
+      },
+      [&](uint64_t) {
+        Status st = write("replacement!");
+        faulty.Disarm();
+        auto back = GetFileSystem()->ReadFile(Path("f"));
+        ASSERT_TRUE(back.ok());
+        if (st.ok()) {
+          EXPECT_EQ(*back, "replacement!");
+        } else {
+          EXPECT_TRUE(*back == "old" || *back == "replacement!")
+              << "hybrid: '" << *back << "'";
+        }
+        if (*back != "old") {
+          ASSERT_TRUE(write("old").ok());
+        }
+      });
 }
 
 TEST_F(FaultTest, DirFsyncFaultSurfacesAfterRename) {
@@ -289,14 +297,11 @@ TEST_F(FaultTest, DirFsyncFaultSurfacesAfterRename) {
   ScopedFileSystem scoped(&faulty);
   ASSERT_TRUE(GetFileSystem()->WriteFileAtomic(Path("f"), "old").ok());
   // The directory fsync is the last counted op of WriteFileAtomic.
-  FaultSpec probe;
-  probe.inject_at = 0;
-  faulty.Arm(probe);
-  ASSERT_TRUE(GetFileSystem()->WriteFileAtomic(Path("f"), "old").ok());
-  uint64_t last_op = faulty.ops();
-  FaultSpec spec;
-  spec.kind = FaultKind::kSyncFail;
-  spec.inject_at = last_op;
+  FaultSpec spec{.kind = FaultKind::kSyncFail};
+  spec.inject_at = ProbeOps(ArmAt(&faulty, spec), [&] {
+    EXPECT_TRUE(GetFileSystem()->WriteFileAtomic(Path("f"), "old").ok());
+    return faulty.ops();
+  });
   faulty.Arm(spec);
   Status st = GetFileSystem()->WriteFileAtomic(Path("f"), "new");
   faulty.Disarm();

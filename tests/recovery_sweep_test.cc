@@ -14,7 +14,6 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <iostream>
 #include <memory>
 #include <set>
 #include <string>
@@ -28,11 +27,10 @@
 #include "relational/sql_engine.h"
 #include "storage/catalog.h"
 #include "strabon/strabon.h"
+#include "sweep_harness.h"
 
 namespace teleios {
 namespace {
-
-namespace stdfs = std::filesystem;
 
 using core::DurabilityEngines;
 using core::DurabilityManager;
@@ -57,22 +55,8 @@ struct Instance {
   std::unique_ptr<DurabilityManager> db;
 };
 
-class RecoverySweepTest : public ::testing::Test {
+class RecoverySweepTest : public FaultyFileSystemTest {
  protected:
-  void SetUp() override {
-    dir_ = stdfs::temp_directory_path() /
-           ("recovery_sweep_" + std::to_string(::getpid()));
-    stdfs::create_directories(dir_);
-    faulty_ = std::make_unique<io::FaultInjectingFileSystem>(&posix_);
-    prev_ = io::SetFileSystem(faulty_.get());
-  }
-  void TearDown() override {
-    io::SetFileSystem(prev_);
-    stdfs::remove_all(dir_);
-  }
-
-  std::string Path(const std::string& name) { return (dir_ / name).string(); }
-
   static constexpr int kInserts = 8;
 
   // Runs the workload, counting how many mutations were acknowledged
@@ -127,54 +111,39 @@ class RecoverySweepTest : public ::testing::Test {
                           const std::string& tag) {
     DurabilityOptions options;
     options.checkpoint_bytes = checkpoint_bytes;
-
-    // Baseline run to learn the op count of recover + workload.
-    io::FaultSpec probe;
-    probe.inject_at = 0;
-    faulty_->Arm(probe);
-    {
-      Instance baseline(Path(tag + "_probe"), options);
-      ASSERT_TRUE(baseline.db->Recover().ok());
-      ASSERT_EQ(RunWorkload(&baseline), 1 + kInserts);
-    }
-    uint64_t total_ops = faulty_->ops();
-    faulty_->Disarm();
-    ASSERT_GT(total_ops, 10u);
-
-    for (uint64_t k = 1; k <= total_ops; ++k) {
-      const std::string dir = Path(tag + "_" + std::to_string(k));
-      int acked = 0;
-      {
-        io::FaultSpec spec;
-        spec.kind = kind;
-        spec.inject_at = k;
-        spec.crash = true;
-        faulty_->Arm(spec);
-        Instance victim(dir, options);
-        if (victim.db->Recover().ok()) {
-          acked = RunWorkload(&victim);
-        }
-        faulty_->Disarm();
-      }
-      // Restart: recovery must succeed cleanly at every crash point.
-      Instance restarted(dir, options);
-      Status recovered = restarted.db->Recover();
-      ASSERT_TRUE(recovered.ok())
-          << "crash at op " << k << ": " << recovered.ToString();
-      ASSERT_NE(recovered.code(), StatusCode::kDataLoss);
-      RecoveryReport report = restarted.db->recovery_report();
-      EXPECT_TRUE(report.recovered);
-      EXPECT_EQ(report.replay_errors, 0u) << "crash at op " << k;
-      CheckPrefix(&restarted, acked, k);
-    }
-    std::cout << "[ sweep    ] " << tag << ": " << total_ops
-              << " crash points, every restart recovered\n";
+    uint64_t n = SweepEveryOp(
+        tag,
+        ArmAt(faulty_.get(), io::FaultSpec{.kind = kind, .crash = true}),
+        [&] {
+          {
+            Instance baseline(Path(tag + "_probe"), options);
+            EXPECT_TRUE(baseline.db->Recover().ok());
+            EXPECT_EQ(RunWorkload(&baseline), 1 + kInserts);
+          }
+          return faulty_->ops();
+        },
+        [&](uint64_t k) {
+          const std::string dir = Path(tag + "_" + std::to_string(k));
+          int acked = 0;
+          {
+            Instance victim(dir, options);
+            if (victim.db->Recover().ok()) {
+              acked = RunWorkload(&victim);
+            }
+            faulty_->Disarm();
+          }
+          // Restart: recovery must succeed cleanly at every crash point.
+          Instance restarted(dir, options);
+          Status recovered = restarted.db->Recover();
+          ASSERT_TRUE(recovered.ok()) << recovered.ToString();
+          ASSERT_NE(recovered.code(), StatusCode::kDataLoss);
+          RecoveryReport report = restarted.db->recovery_report();
+          EXPECT_TRUE(report.recovered);
+          EXPECT_EQ(report.replay_errors, 0u);
+          CheckPrefix(&restarted, acked, k);
+        });
+    EXPECT_GT(n, 10u);
   }
-
-  stdfs::path dir_;
-  io::PosixFileSystem posix_;
-  std::unique_ptr<io::FaultInjectingFileSystem> faulty_;
-  io::FileSystem* prev_ = nullptr;
 };
 
 TEST_F(RecoverySweepTest, KillAtEveryOpCleanIoError) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <numeric>
 
 #include "exec/parallel_for.h"
@@ -366,6 +367,26 @@ TEST(VectorizedFilterTest, MatchesInterpreterOnAllShapes) {
   }
 }
 
+// A NaN row fails every comparison but <>, in the kernel and in the
+// interpreter alike (IEEE rules).
+TEST(VectorizedFilterTest, NanRowsMatchTheInterpreter) {
+  Table t{Schema({{"d", ColumnType::kFloat64}})};
+  ASSERT_TRUE(t.AppendRow({Value(std::nan(""))}).ok());
+  ASSERT_TRUE(t.AppendRow({Value(1.0)}).ok());
+  for (BinaryOp op : {BinaryOp::kEq, BinaryOp::kNe, BinaryOp::kLt,
+                      BinaryOp::kLe, BinaryOp::kGt, BinaryOp::kGe}) {
+    ExprPtr p = Expr::Binary(op, Expr::ColumnRef("d"),
+                             Expr::Literal(Value(1.0)));
+    auto fast = FilterIndices(t, p);
+    auto slow = FilterIndicesInterpreted(t, p);
+    ASSERT_TRUE(fast.ok() && slow.ok()) << p->ToString();
+    EXPECT_EQ(*fast, *slow) << p->ToString();
+    // Only the 1.0 row passes =, <= and >=; only the NaN row passes <>.
+    bool strict = op == BinaryOp::kLt || op == BinaryOp::kGt;
+    EXPECT_EQ(slow->size(), strict ? 0u : 1u) << p->ToString();
+  }
+}
+
 /// Property sweep: filter + take round trip preserves values for varying
 /// table sizes.
 class FilterSweep : public ::testing::TestWithParam<int> {};
@@ -432,7 +453,7 @@ int64_t RandomBigint(Rng& rng) {
   }
 }
 
-/// i, j BIGINT; d DOUBLE (eighths, never NaN or -0); s VARCHAR from a
+/// i, j BIGINT; d DOUBLE (eighths or NaN, never -0); s VARCHAR from a
 /// five-word dictionary; b BOOL. Every column has NULLs.
 Table RandomTable(Rng& rng, size_t rows) {
   Table t{Schema({{"i", ColumnType::kInt64},
@@ -445,8 +466,9 @@ Table RandomTable(Rng& rng, size_t rows) {
     std::vector<Value> row;
     row.push_back(null() ? Value() : Value(RandomBigint(rng)));
     row.push_back(null() ? Value() : Value(RandomBigint(rng)));
-    row.push_back(null() ? Value()
-                         : Value(static_cast<double>(rng.Below(161) - 80) / 8));
+    row.push_back(null()                ? Value()
+                  : rng.Below(16) == 0 ? Value(std::nan(""))
+                       : Value(static_cast<double>(rng.Below(161) - 80) / 8));
     row.push_back(null() ? Value() : Value(kWords[rng.Below(5)]));
     row.push_back(null() ? Value() : Value(rng.Below(2) == 0));
     EXPECT_TRUE(t.AppendRow(row).ok());

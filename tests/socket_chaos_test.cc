@@ -25,7 +25,6 @@
 #include <chrono>
 #include <cstring>
 #include <filesystem>
-#include <iostream>
 #include <map>
 #include <memory>
 #include <string>
@@ -44,6 +43,7 @@
 #include "server/server.h"
 #include "server/session.h"
 #include "server/transport.h"
+#include "sweep_harness.h"
 
 namespace teleios::server {
 namespace {
@@ -69,23 +69,42 @@ uint64_t CounterValue(const std::string& name) {
 
 // --- 1. the transport seam ------------------------------------------------
 
-TEST(TransportFaultTest, DisarmedIsAPassThroughThatCountsOps) {
-  FaultInjectingTransport faulty;
-  ScopedTransport scope(&faulty);
-  auto listener = faulty.Listen(0, 4);
-  ASSERT_TRUE(listener.ok()) << listener.status().ToString();
-  int port = (*listener)->bound_port();
-  ASSERT_GT(port, 0);
+/// A fault-injecting transport installed for the test, listening.
+class TransportFaultTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    auto listener = faulty_.Listen(0, 4);
+    ASSERT_TRUE(listener.ok()) << listener.status().ToString();
+    listener_ = std::move(*listener);
+    ASSERT_GT(listener_->bound_port(), 0);
+  }
 
+  /// Connects a client (`conn_`) and accepts it (`served_`): 2 ops.
+  void ConnectPair() {
+    auto conn = faulty_.Connect("127.0.0.1", listener_->bound_port());
+    ASSERT_TRUE(conn.ok()) << conn.status().ToString();
+    auto served = listener_->AcceptWithTimeout(5000);
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+    conn_ = std::move(*conn);
+    served_ = std::move(*served);
+  }
+
+  FaultInjectingTransport faulty_;
+  ScopedTransport scope_{&faulty_};
+  std::unique_ptr<Listener> listener_;
+  std::unique_ptr<Connection> conn_, served_;
+};
+
+TEST_F(TransportFaultTest, DisarmedIsAPassThroughThatCountsOps) {
   std::thread server([&] {
-    auto conn = (*listener)->AcceptWithTimeout(5000);
+    auto conn = listener_->AcceptWithTimeout(5000);
     ASSERT_TRUE(conn.ok()) << conn.status().ToString();
     char buf[5] = {0};
     ASSERT_TRUE((*conn)->ReadExact(buf, 5).ok());
     EXPECT_EQ(std::string(buf, 5), "hello");
     ASSERT_TRUE((*conn)->WriteAll("world").ok());
   });
-  auto conn = faulty.Connect("127.0.0.1", port);
+  auto conn = faulty_.Connect("127.0.0.1", listener_->bound_port());
   ASSERT_TRUE(conn.ok()) << conn.status().ToString();
   ASSERT_TRUE((*conn)->WriteAll("hello").ok());
   char buf[5] = {0};
@@ -93,131 +112,89 @@ TEST(TransportFaultTest, DisarmedIsAPassThroughThatCountsOps) {
   EXPECT_EQ(std::string(buf, 5), "world");
   server.join();
   // connect + accept + 2 writes + 2 reads, exactly.
-  EXPECT_EQ(faulty.ops(), 6u);
-  EXPECT_EQ(faulty.faults_injected(), 0u);
+  EXPECT_EQ(faulty_.ops(), 6u);
+  EXPECT_EQ(faulty_.faults_injected(), 0u);
 }
 
-TEST(TransportFaultTest, FailsExactlyTheKthOp) {
-  FaultInjectingTransport faulty;
-  ScopedTransport scope(&faulty);
-  auto listener = faulty.Listen(0, 4);
-  ASSERT_TRUE(listener.ok());
-  int port = (*listener)->bound_port();
-
+TEST_F(TransportFaultTest, FailsExactlyTheKthOp) {
   // Op 1 = Connect: refused (connect-class faults degrade to refusal).
   TransportFaultSpec spec;
   spec.kind = TransportFaultKind::kIoError;
   spec.inject_at = 1;
-  faulty.Arm(spec);
-  auto refused = faulty.Connect("127.0.0.1", port);
+  faulty_.Arm(spec);
+  auto refused = faulty_.Connect("127.0.0.1", listener_->bound_port());
   ASSERT_FALSE(refused.ok());
   EXPECT_EQ(refused.status().code(), StatusCode::kUnavailable)
       << refused.status().ToString();
-  EXPECT_EQ(faulty.faults_injected(), 1u);
+  EXPECT_EQ(faulty_.faults_injected(), 1u);
 
   // Re-armed at op 3: connect(1) and accept(2) succeed, the client
   // write (3) dies.
-  faulty.Arm(spec);
   spec.inject_at = 3;
-  faulty.Arm(spec);
-  auto conn = faulty.Connect("127.0.0.1", port);
-  ASSERT_TRUE(conn.ok()) << conn.status().ToString();
-  auto served = (*listener)->AcceptWithTimeout(5000);
-  ASSERT_TRUE(served.ok()) << served.status().ToString();
-  Status wrote = (*conn)->WriteAll("hello");
+  faulty_.Arm(spec);
+  ASSERT_NO_FATAL_FAILURE(ConnectPair());
+  Status wrote = conn_->WriteAll("hello");
   ASSERT_FALSE(wrote.ok());
   EXPECT_EQ(wrote.code(), StatusCode::kIoError) << wrote.ToString();
-  EXPECT_EQ(faulty.faults_injected(), 1u);
+  EXPECT_EQ(faulty_.faults_injected(), 1u);
 }
 
-TEST(TransportFaultTest, ShortWriteTearsTheStreamMidMessage) {
-  FaultInjectingTransport faulty;
-  ScopedTransport scope(&faulty);
-  auto listener = faulty.Listen(0, 4);
-  ASSERT_TRUE(listener.ok());
-  auto conn = faulty.Connect("127.0.0.1", (*listener)->bound_port());
-  ASSERT_TRUE(conn.ok());
-  auto served = (*listener)->AcceptWithTimeout(5000);
-  ASSERT_TRUE(served.ok());
-
+TEST_F(TransportFaultTest, ShortWriteTearsTheStreamMidMessage) {
+  ASSERT_NO_FATAL_FAILURE(ConnectPair());
   TransportFaultSpec spec;
   spec.kind = TransportFaultKind::kShortWrite;
   spec.inject_at = 1;
-  faulty.Arm(spec);
+  faulty_.Arm(spec);
   std::string message = "0123456789abcdef";
-  Status wrote = (*conn)->WriteAll(message);
+  Status wrote = conn_->WriteAll(message);
   ASSERT_FALSE(wrote.ok());
   // The peer got exactly the first half, then EOF: a torn frame.
   char buf[16] = {0};
-  Status read = (*served)->ReadExact(buf, sizeof(buf), 250);
+  Status read = served_->ReadExact(buf, sizeof(buf), 250);
   ASSERT_FALSE(read.ok());
   EXPECT_EQ(read.code(), StatusCode::kDataLoss) << read.ToString();
   EXPECT_EQ(std::string(buf, 8), "01234567");
 }
 
-TEST(TransportFaultTest, ShortReadDeliversAPrefixThenDataLoss) {
-  FaultInjectingTransport faulty;
-  ScopedTransport scope(&faulty);
-  auto listener = faulty.Listen(0, 4);
-  ASSERT_TRUE(listener.ok());
-  auto conn = faulty.Connect("127.0.0.1", (*listener)->bound_port());
-  ASSERT_TRUE(conn.ok());
-  auto served = (*listener)->AcceptWithTimeout(5000);
-  ASSERT_TRUE(served.ok());
-  ASSERT_TRUE((*conn)->WriteAll("0123456789abcdef").ok());
-
+TEST_F(TransportFaultTest, ShortReadDeliversAPrefixThenDataLoss) {
+  ASSERT_NO_FATAL_FAILURE(ConnectPair());
+  ASSERT_TRUE(conn_->WriteAll("0123456789abcdef").ok());
   TransportFaultSpec spec;
   spec.kind = TransportFaultKind::kShortRead;
   spec.inject_at = 1;
-  faulty.Arm(spec);
+  faulty_.Arm(spec);
   char buf[16] = {0};
-  Status read = (*served)->ReadExact(buf, sizeof(buf), 250);
+  Status read = served_->ReadExact(buf, sizeof(buf), 250);
   ASSERT_FALSE(read.ok());
   EXPECT_EQ(read.code(), StatusCode::kDataLoss) << read.ToString();
   EXPECT_EQ(std::string(buf, 8), "01234567");
 }
 
-TEST(TransportFaultTest, EveryNRepeatsAndStallOnlyDelays) {
-  FaultInjectingTransport faulty;
-  ScopedTransport scope(&faulty);
-  auto listener = faulty.Listen(0, 4);
-  ASSERT_TRUE(listener.ok());
-  auto conn = faulty.Connect("127.0.0.1", (*listener)->bound_port());
-  ASSERT_TRUE(conn.ok());
-  auto served = (*listener)->AcceptWithTimeout(5000);
-  ASSERT_TRUE(served.ok());
-
+TEST_F(TransportFaultTest, EveryNRepeatsAndStallOnlyDelays) {
+  ASSERT_NO_FATAL_FAILURE(ConnectPair());
   TransportFaultSpec spec;
   spec.kind = TransportFaultKind::kStall;
   spec.inject_at = 1;
   spec.every_n = 2;
   spec.stall_millis = 5;
-  faulty.Arm(spec);
+  faulty_.Arm(spec);
   // Stalls never fail anything, so all writes succeed; ops 1, 3, 5
   // stall (inject_at=1, every 2 after).
   for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE((*conn)->WriteAll("x").ok()) << i;
+    ASSERT_TRUE(conn_->WriteAll("x").ok()) << i;
   }
-  EXPECT_EQ(faulty.faults_injected(), 3u);
+  EXPECT_EQ(faulty_.faults_injected(), 3u);
 }
 
-TEST(TransportFaultTest, DropAfterBytesKillsTheFattenedConnection) {
-  FaultInjectingTransport faulty;
-  ScopedTransport scope(&faulty);
-  auto listener = faulty.Listen(0, 4);
-  ASSERT_TRUE(listener.ok());
-  auto conn = faulty.Connect("127.0.0.1", (*listener)->bound_port());
-  ASSERT_TRUE(conn.ok());
-  auto served = (*listener)->AcceptWithTimeout(5000);
-  ASSERT_TRUE(served.ok());
-
+TEST_F(TransportFaultTest, DropAfterBytesKillsTheFattenedConnection) {
+  ASSERT_NO_FATAL_FAILURE(ConnectPair());
   TransportFaultSpec spec;
   spec.kind = TransportFaultKind::kDisconnect;
   spec.inject_at = 0;  // no op-indexed fault; only the byte bound
   spec.drop_after_bytes = 10;
-  faulty.Arm(spec);
-  ASSERT_TRUE((*conn)->WriteAll("0123456789ab").ok());  // crosses the bound
-  Status wrote = (*conn)->WriteAll("more");
+  faulty_.Arm(spec);
+  ASSERT_TRUE(conn_->WriteAll("0123456789ab").ok());  // crosses the bound
+  Status wrote = conn_->WriteAll("more");
   ASSERT_FALSE(wrote.ok());  // first op after crossing: dead
 }
 
@@ -526,12 +503,13 @@ void SeedObservatory(VirtualEarthObservatory* veo) {
 }
 
 /// One sweep iteration: fresh durable observatory + server in `wal_dir`,
-/// the workload run with `spec` armed on `faulty`, then serviceability,
+/// the workload run through the armed `faulty`, then serviceability,
 /// leak, and (by reopening the directory) WAL exactly-once checks.
-/// Writes the clean run's op count to `ops_out`.
+/// Writes the workload's op count to `ops_out`. Setting up the server
+/// performs no counted transport op.
 void RunSweepIteration(FaultInjectingTransport* faulty,
-                       const TransportFaultSpec& spec, const fs::path& wal_dir,
-                       uint64_t client_id, uint64_t* ops_out) {
+                       const fs::path& wal_dir, uint64_t client_id,
+                       uint64_t* ops_out) {
   fs::create_directories(wal_dir);
   {
     VirtualEarthObservatory veo;
@@ -548,7 +526,6 @@ void RunSweepIteration(FaultInjectingTransport* faulty,
     ASSERT_TRUE(server.Start().ok());
     const size_t budgets_after_start = governor::AllBudgetStats().size();
 
-    faulty->Arm(spec);
     RunChaosWorkload(server.port(), client_id, kBase);
     *ops_out = faulty->ops();
     faulty->Disarm();
@@ -591,35 +568,29 @@ TEST_F(ChaosServerTest, KillAtEverySocketOpStaysExactlyOnce) {
   FaultInjectingTransport faulty;
   ScopedTransport scope(&faulty);
 
-  // Probe pass: the workload through a disarmed injector, counting the
-  // transport operations a clean run performs.
-  TransportFaultSpec probe;
-  probe.inject_at = 0;  // disarmed: count only
-  uint64_t total_ops = 0;
-  RunSweepIteration(&faulty, probe, dir_ / "probe", /*client_id=*/1,
-                    &total_ops);
-  if (::testing::Test::HasFatalFailure()) return;
-  // The tentpole floor: the workload crosses >= 150 distinct fault
-  // points (ISSUE acceptance).
-  ASSERT_GE(total_ops, 150u);
-  std::cout << "[sweep] " << total_ops << " fault points\n";
-
   // The sweep: for every k, a fresh run whose k-th transport op dies.
   // Fault kinds rotate so resets, torn writes, torn reads, and clean
   // disconnects all land on every path eventually.
   const TransportFaultKind kKinds[] = {
       TransportFaultKind::kIoError, TransportFaultKind::kShortWrite,
       TransportFaultKind::kShortRead, TransportFaultKind::kDisconnect};
-  for (uint64_t k = 1; k <= total_ops; ++k) {
-    SCOPED_TRACE("fault at op " + std::to_string(k));
-    TransportFaultSpec spec;
-    spec.kind = kKinds[k % 4];
-    spec.inject_at = k;
-    uint64_t ignored = 0;
-    RunSweepIteration(&faulty, spec, dir_ / ("k" + std::to_string(k)),
-                      /*client_id=*/k + 1, &ignored);
-    if (::testing::Test::HasFatalFailure()) return;
-  }
+  uint64_t n = SweepEveryOp(
+      "socket",
+      [&](uint64_t k) {
+        faulty.Arm({.kind = kKinds[k % 4], .inject_at = k});
+      },
+      [&] {
+        uint64_t ops = 0;
+        RunSweepIteration(&faulty, dir_ / "probe", /*client_id=*/1, &ops);
+        return ops;
+      },
+      [&](uint64_t k) {
+        uint64_t ignored = 0;
+        RunSweepIteration(&faulty, dir_ / ("k" + std::to_string(k)),
+                          /*client_id=*/k + 1, &ignored);
+      });
+  // The workload crosses >= 150 distinct fault points.
+  EXPECT_GE(n, 150u);
 }
 
 // --- 6. the reconnect storm (also the TSan leg) ---------------------------
